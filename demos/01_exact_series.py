@@ -41,7 +41,7 @@ print()
 
 # --- the shear substitution -------------------------------------------------
 
-# u -> x*(u + c) is the elementary step of the eigenvalue-lowering cascade:
+# u -> x*(u + c) is the eigenvalue-lowering step of reduction_step:
 # it peels the order-1 Taylor coefficient c off the unknown and multiplies
 # the remainder by x.
 s = u + u * u

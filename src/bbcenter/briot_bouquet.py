@@ -3,15 +3,16 @@ resonant trichotomy.
 
 A system is stored split: the linear-in-y matrix A, the linear-in-x column,
 and the nonlinear remainder (total degree >= 2).  Holomorphic solutions
-through the singular point are controlled by the eigenvalues of A:
+through the singular point are controlled by the eigenvalues of A.  One
+recursion solves the order-k coefficient equations (k I - A) c_k = r_k for
+k = 1, 2, ..., where r_k depends only on lower orders.  When k is not an
+eigenvalue the step is uniquely solvable.  When it is (a resonant order), r_k
+is the exact obstruction: an inconsistent step kills all solutions, and a
+consistent one contributes its free columns as free parameters.
 
-* no positive integer eigenvalue: the order-k coefficient equations
-  (k I - A) c_k = r_k are all uniquely solvable, giving one solution;
-* positive integer eigenvalues: a cascade of shearing substitutions
-  u -> x (u + shift) lowers every eigenvalue by one per step, and at each
-  step whose matrix becomes singular at order one the linear-in-x column is
-  the exact obstruction.  A nonzero obstruction on an unsolvable row kills
-  all solutions; a solvable singular step contributes free parameters.
+``reduction_step`` is the classical alternative: one shearing substitution
+u -> x (u + shift) that lowers every eigenvalue by one.  ``classify`` does
+not use it; the recursion reads the same obstruction values directly.
 
 Every decision in this module is an exact zero test; nothing is tolerant.
 """
@@ -22,14 +23,15 @@ from dataclasses import dataclass
 
 from .errors import (BlockedStep, DimensionMismatch, OrderTooSmall,
                      ResonantEigenvalue)
-from .series import EC_ZERO, ExactComplex, MultiSeries
-from .spectra import SmallMatrix, solve_affine
+from .series import EC_ONE, EC_ZERO, ExactComplex, MultiSeries
+from .spectra import SmallMatrix, positive_integer_eigenvalues, solve_affine
 
 KIND_NO_SOLUTION = "no_solution"
 KIND_UNIQUE = "unique"
 KIND_FAMILY = "family"
 
-# obstruction constants are named by (resonance ordinal, row)
+# witnesses on rows 0-1 of the first two resonant orders keep the paper's
+# names; every other one is r{k}[{i}] (order k, row i), so none can collide
 _OBSTRUCTION_NAMES = (("pbar", "rbar"), ("phat", "rhat"))
 
 
@@ -95,9 +97,9 @@ class FormalSolution:
 class BBClassification:
     """Trichotomy verdict: no solution / unique / infinite family.
 
-    ``obstructions`` records the linear-in-x constants read at each resonant
-    level of the cascade, as exact values, so a NoSolution verdict is
-    auditable.  ``blocking_order`` is the order at which solvability failed.
+    ``obstructions`` records the right-hand side r_k read at each resonant
+    order k, as exact values, so a NoSolution verdict is auditable.
+    ``blocking_order`` is the order at which solvability failed.
     """
 
     kind: str
@@ -108,7 +110,7 @@ class BBClassification:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One eigenvalue-lowering step of the cascade."""
+    """One eigenvalue-lowering shear (see ``reduction_step``)."""
 
     system: BBSystem
     shifts: tuple
@@ -117,65 +119,70 @@ class ReductionStep:
     px_entry: tuple
 
 
-# ---------------------------------------------------------------------------
-# univariate helpers (solution series are plain {order: coefficient} maps)
+def _solve(bb, order):
+    """Solve (k I - A) c_k = r_k for k = 1..order, the whole trichotomy at once.
 
-def _poly_mul(a, b, upto):
-    out = {}
-    for ka, ca in a.items():
-        if ka > upto:
-            continue
-        for kb, cb in b.items():
-            k = ka + kb
-            if k > upto:
-                continue
-            prev = out.get(k)
-            prod = ca * cb
-            out[k] = prod if prev is None else prev + prod
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _compose_row(series, sols, upto):
-    """Coefficients of f(x, y_1(x), ..., y_n(x)) through x^upto.
-
-    ``sols`` are zero-constant univariate maps, so a term of total degree d
-    only contributes from order d on and the truncation is exact.
+    r_k is the linear-in-x column at k = 1 plus the order-k coefficient of
+    f(x, y(x)).  Every nonlinear term has total degree >= 2, so r_k needs only
+    c_1..c_{k-1}: ``powers[e][m]``, the order-m coefficient of y^e along the
+    solution, is computed once, as soon as it is known.  At a singular k, r_k
+    is the witness and each free column a parameter slot set to zero in the
+    representative; an inconsistent k leaves no solution.
     """
-    pow_cache = [{} for _ in sols]
+    n = bb.n
+    rows = [[(e[0], e[1:], c) for e, c in row.terms.items()] for row in bb.nonlinear]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    powers = {(0,) * n: [EC_ONE], **{u: [EC_ZERO] for u in units}}
+    recipes = []  # y^e = y_j * y^parent, parents listed before their products
 
-    def power(j, e):
-        cache = pow_cache[j]
-        if e not in cache:
-            if e == 1:
-                cache[1] = sols[j]
-            else:
-                cache[e] = _poly_mul(power(j, e - 1), sols[j], upto)
-        return cache[e]
+    def track(e):
+        if e not in powers:
+            j = next(i for i, a in enumerate(e) if a)
+            parent = e[:j] + (e[j] - 1,) + e[j + 1:]
+            track(parent)
+            powers[e] = [EC_ZERO]
+            recipes.append((powers[e], powers[units[j]], powers[parent], sum(parent)))
 
-    out = {}
-    for exps, coeff in series.terms.items():
-        if sum(exps) > upto:
-            continue
-        prod = {exps[0]: coeff}
-        for j, e in enumerate(exps[1:]):
-            if e:
-                prod = _poly_mul(prod, power(j, e), upto)
-                if not prod:
-                    break
-        for k, c in prod.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-    return out
+    for row in rows:
+        for _, e, _ in row:
+            track(e)
 
-
-def _charpoly_at(A, k):
-    """det(k I - A), exactly."""
-    coeffs = A.charpoly()
-    acc = EC_ZERO
-    x = ExactComplex(k)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    table, slots, witnesses, resonances = [], [], {}, 0
+    for k in range(1, order + 1):
+        for out, y, parent, low in recipes:
+            total = EC_ZERO
+            for m in range(1, k - low + 1):
+                if not (y[m].is_zero() or parent[k - m].is_zero()):
+                    total = total + y[m] * parent[k - m]
+            out.append(total)
+        rhs = []
+        for i, row in enumerate(rows):
+            total = bb.px[i] if k == 1 else EC_ZERO
+            for e0, e, coeff in row:
+                p = powers[e]
+                if 0 <= k - e0 < len(p) and not p[k - e0].is_zero():
+                    total = total + coeff * p[k - e0]
+            rhs.append(total)
+        matrix = SmallMatrix.identity(n) * ExactComplex(k) - bb.A
+        solved = solve_affine(matrix.rows, rhs)
+        if solved is None or solved[1]:
+            for i, value in enumerate(rhs):
+                name = (_OBSTRUCTION_NAMES[resonances][i] if resonances < 2 and i < 2
+                        else f"r{k}[{i}]")
+                witnesses[name] = value
+            resonances += 1
+            if solved is None:
+                return BBClassification(KIND_NO_SOLUTION, witnesses, None,
+                                        blocking_order=k)
+            slots.extend((k, col, f"c{k}[{col}]") for col in solved[1])
+        for u, c in zip(units, solved[0]):
+            powers[u].append(c)
+        table.append(solved[0])
+    reps = tuple(
+        MultiSeries(1, order, {(k,): powers[u][k] for k in range(1, order + 1)})
+        for u in units)
+    solution = FormalSolution(order, tuple(table), tuple(slots), reps)
+    return BBClassification(KIND_FAMILY if slots else KIND_UNIQUE, witnesses, solution)
 
 
 def formal_solve_nonresonant(bb, order):
@@ -184,36 +191,15 @@ def formal_solve_nonresonant(bb, order):
     Solves (k I - A) c_k = r_k for k = 1..order, where r_k collects the
     linear-in-x column at k = 1 and the nonlinear image of all lower orders.
     """
-    n = bb.n
-    for k in range(1, order + 1):
-        if _charpoly_at(bb.A, k).is_zero():
+    for k in positive_integer_eigenvalues(bb.A):
+        if k <= order:
             raise ResonantEigenvalue(
                 f"{k} is an eigenvalue of the linear part; use classify()")
-    sols = [{} for _ in range(n)]
-    table = []
-    for k in range(1, order + 1):
-        rhs = []
-        for i in range(n):
-            r = bb.px[i] if k == 1 else EC_ZERO
-            composed = _compose_row(bb.nonlinear[i], sols, k)
-            r = r + composed.get(k, EC_ZERO)
-            rhs.append(r)
-        matrix = SmallMatrix.identity(n) * ExactComplex(k) - bb.A
-        solved = solve_affine(matrix.rows, rhs)
-        assert solved is not None and not solved[1]
-        c = solved[0]
-        for i in range(n):
-            if not c[i].is_zero():
-                sols[i][k] = c[i]
-        table.append(tuple(c))
-    reps = tuple(
-        MultiSeries(1, order, {(k,): v for k, v in sols[i].items()})
-        for i in range(n))
-    return FormalSolution(order, tuple(table), (), reps)
+    return _solve(bb, order).solution
 
 
 def reduction_step(bb):
-    """One step of the eigenvalue-lowering cascade.
+    """One eigenvalue-lowering shear: y = x (u + shift).
 
     The shifts solve the order-one equations (I - A) c = px exactly; when that
     system is singular but consistent the free components are set to zero and
@@ -225,7 +211,7 @@ def reduction_step(bb):
     solved = solve_affine(matrix.rows, bb.px)
     if solved is None:
         raise BlockedStep("resonant order with nonvanishing obstruction", bb.px)
-    shifts, free_cols, _ = solved
+    shifts, free_cols = solved
     sheared = []
     for i in range(n):
         g = bb.nonlinear[i]
@@ -257,79 +243,26 @@ def reduction_step(bb):
     )
 
 
-def _positive_integer_eigenvalues(A, order):
-    """Positive integers k <= order that are eigenvalues of A, found by exact
-    determinant scan (no spectrum certification needed)."""
-    return [k for k in range(1, order + 1) if _charpoly_at(A, k).is_zero()]
-
-
 def classify(bb, order=12):
     """Full trichotomy of a Briot-Bouquet system, exactly.
 
-    Dispatches on the positive-integer eigenvalues of A.  With none, the
-    unique solution comes straight from the non-resonant recursion.  Otherwise
-    the cascade runs one step per order up to the largest integer eigenvalue,
-    reading the obstruction constants at every singular step; the surviving
-    system is solved non-resonantly and the solution is lifted back through
-    the shears.
+    One order-by-order recursion covers every case: it solves
+    (k I - A) c_k = r_k for k = 1..order and, at each resonant order (a
+    positive integer eigenvalue k of A), reads r_k as the exact obstruction.
+    An inconsistent resonant order means no solution; a consistent one
+    contributes free parameters; with none the solution is unique.
 
-    The step equations are solved affinely in whatever coordinates the system
+    The order equations are solved affinely in whatever coordinates the system
     arrives in, so upper-triangular and Jordan linear parts (with the nilpotent
     parameter kept symbolic) need no preliminary change of basis; the verdict
-    and the free-parameter count are basis independent.
+    and the free-parameter count are basis independent.  The resonant orders
+    come from A itself, so an order too small to reach the largest of them
+    raises instead of returning a verdict that a larger order would change.
     """
-    integers = _positive_integer_eigenvalues(bb.A, order)
-    if not integers:
-        return BBClassification(KIND_UNIQUE, {}, formal_solve_nonresonant(bb, order))
-    if bb.n > 2:
-        raise DimensionMismatch(
-            "the resonant cascade is implemented for systems with n <= 2")
-    top = max(integers)
-    if order < top + 2:
-        raise OrderTooSmall(
-            f"order {order} cannot expose the resonance at order {top}; "
-            f"need at least {top + 2}")
-
-    current = bb
-    obstructions = {}
-    slots = []
-    shifts_stack = []
-    resonances = 0
-    for level in range(top):
-        try:
-            step = reduction_step(current)
-        except BlockedStep as blocked:
-            names = _OBSTRUCTION_NAMES[min(resonances, 1)]
-            for i, value in enumerate(blocked.px):
-                obstructions[names[i]] = value
-            return BBClassification(
-                KIND_NO_SOLUTION, obstructions, None, blocking_order=level + 1)
-        if step.resonant:
-            names = _OBSTRUCTION_NAMES[min(resonances, 1)]
-            for i, value in enumerate(step.px_entry):
-                obstructions[names[i]] = value
-            resonances += 1
-            for col in step.free_columns:
-                slots.append((level + 1, col, f"c{level + 1}[{col}]"))
-        shifts_stack.append(step.shifts)
-        current = step.system
-
-    tail = formal_solve_nonresonant(current, order - top)
-    reps = list(tail.representative)
-    for shifts in reversed(shifts_stack):
-        lifted = []
-        for i, rep in enumerate(reps):
-            terms = {(k + 1,): c for (k,), c in rep.terms.items()}
-            if not shifts[i].is_zero():
-                terms[(1,)] = terms.get((1,), EC_ZERO) + shifts[i]
-            lifted.append(MultiSeries(1, rep.order + 1, terms))
-        reps = lifted
-    table = tuple(
-        tuple(reps[i].coeff((k,)) for i in range(bb.n))
-        for k in range(1, order + 1))
-    solution = FormalSolution(order, table, tuple(slots), tuple(reps))
-    kind = KIND_FAMILY if slots else KIND_UNIQUE
-    return BBClassification(kind, obstructions, solution)
+    integers = positive_integer_eigenvalues(bb.A)
+    if integers and order < integers[-1] + 2:
+        raise OrderTooSmall(order, integers[-1], integers[-1] + 2)
+    return _solve(bb, order)
 
 
 def residual(bb, solution, order=None):

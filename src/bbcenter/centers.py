@@ -21,7 +21,7 @@ from math import pi
 
 from . import briot_bouquet as bb_engine
 from .errors import (DimensionMismatch, InvalidChart, NotNormalized,
-                     UncertifiableSpectrum)
+                     OrderTooSmall, UncertifiableSpectrum)
 from .series import EC_ZERO, ExactComplex, MultiSeries
 from .spectra import (NF_NOT_NORMALIZED, SmallMatrix, classify_spectrum,
                       normal_form_check)
@@ -328,7 +328,11 @@ def _chart_report(h, m, pattern, order):
             order=order,
             obstructions=witnesses,
         )
-    verdict = bb_engine.classify(red.system, order - 1)
+    try:
+        verdict = bb_engine.classify(red.system, order - 1)
+    except OrderTooSmall as err:
+        # the chart's Briot-Bouquet order k is order k + 1 of the graph series
+        raise OrderTooSmall(order, err.resonance + 1, err.required + 1) from None
     if verdict.kind == bb_engine.KIND_NO_SOLUTION:
         return CenterManifoldReport(
             chart=m,

@@ -11,6 +11,7 @@ unnormalized input, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import documents
@@ -25,6 +26,19 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNCERTIFIABLE = 3
 EXIT_VERIFY = 4
+
+
+def _checked(convert, accept, requirement):
+    """An argparse type that converts and then rejects out-of-range values."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+    return parse
 
 
 def _build_parser():
@@ -43,9 +57,12 @@ def _build_parser():
                        help="report a flagged double-precision spectrum instead of "
                             "failing when exact certification is impossible")
         if verify:
-            p.add_argument("--radius", type=float, default=1e-2)
-            p.add_argument("--tol", type=float, default=1e-6)
-            p.add_argument("--starts", type=int, default=20)
+            p.add_argument("--radius", default=1e-2, type=_checked(
+                float, lambda v: 0 < v < math.inf, "a positive finite number"))
+            p.add_argument("--tol", default=1e-6, type=_checked(
+                float, math.isfinite, "a finite number"))
+            p.add_argument("--starts", default=20, type=_checked(
+                int, lambda v: v >= 1, "a positive integer"))
 
     common(sub.add_parser("classify", help="enumerate center manifolds"))
     common(sub.add_parser("series", help="enumerate and print series coefficients"))

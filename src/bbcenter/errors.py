@@ -18,7 +18,14 @@ class ResonantEigenvalue(BBCenterError, ValueError):
 
 
 class OrderTooSmall(BBCenterError, ValueError):
-    """The truncation order does not cover every resonant order of the system."""
+    """The truncation order does not cover every resonant order of the system.
+    ``required`` is the smallest order that does."""
+
+    def __init__(self, order, resonance, required):
+        super().__init__(f"order {order} cannot expose the resonance at order "
+                         f"{resonance}; need --order {required} or more")
+        self.resonance = resonance
+        self.required = required
 
 
 class UncertifiableSpectrum(BBCenterError, ValueError):

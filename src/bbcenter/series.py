@@ -314,9 +314,11 @@ class MultiSeries:
     def shear_substitute(self, j, shift):
         """Replace variable j by x*(y_j + shift), x being variable 0.
 
-        Result is re-truncated to the same order.  This is the elementary move
-        of the eigenvalue-lowering cascade: it shifts off the order-1 Taylor
-        coefficient and multiplies the remainder by x.
+        Result is re-truncated to the same order.  It shifts off the order-1
+        Taylor coefficient and multiplies the remainder by x: the move behind
+        ``briot_bouquet.reduction_step``, which lowers every eigenvalue of a
+        Briot-Bouquet system by one.  ``briot_bouquet.classify`` reads the
+        resonant obstructions by direct recursion and does not use it.
         """
         if j == 0 or not 0 < j < self.nvars:
             raise IndexError(f"shear variable must satisfy 1 <= j < nvars, got {j}")

@@ -79,13 +79,6 @@ class SmallMatrix:
 
     __rmul__ = __mul__
 
-    def apply(self, vec):
-        if len(vec) != self.dim:
-            raise DimensionMismatch("vector length mismatch")
-        return tuple(
-            sum((self.rows[i][j] * vec[j] for j in range(self.dim)), EC_ZERO)
-            for i in range(self.dim))
-
     def shift(self, scalar):
         """self - scalar * I"""
         scalar = ExactComplex.coerce(scalar)
@@ -116,27 +109,6 @@ class SmallMatrix:
               + (r[1][1] * r[2][2] - r[1][2] * r[2][1]))
         return [-self.det(), s2, -self.trace(), EC_ONE]
 
-    def rank(self):
-        rows = [list(row) for row in self.rows]
-        n = self.dim
-        rank = 0
-        col = 0
-        while col < n and rank < n:
-            pivot = next((i for i in range(rank, n) if not rows[i][col].is_zero()), None)
-            if pivot is None:
-                col += 1
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = EC_ONE / rows[rank][col]
-            rows[rank] = [v * inv for v in rows[rank]]
-            for i in range(n):
-                if i != rank and not rows[i][col].is_zero():
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-            rank += 1
-            col += 1
-        return rank
-
     def is_upper_triangular(self):
         return all(self.rows[i][j].is_zero()
                    for i in range(self.dim) for j in range(i))
@@ -144,9 +116,6 @@ class SmallMatrix:
     def is_lower_triangular(self):
         return all(self.rows[i][j].is_zero()
                    for i in range(self.dim) for j in range(i + 1, self.dim))
-
-    def is_diagonal(self):
-        return self.is_upper_triangular() and self.is_lower_triangular()
 
     def to_complex_array(self):
         return [[v.to_complex() for v in row] for row in self.rows]
@@ -157,10 +126,10 @@ class SmallMatrix:
 
 
 def solve_affine(rows, rhs):
-    """Exact solve of M c = rhs with full kernel bookkeeping.
+    """Exact solve of M c = rhs by Gauss-Jordan elimination.
 
-    Returns None when inconsistent, else (particular, free_columns, null_basis)
-    where the particular solution sets every free column to zero.
+    Returns None when inconsistent, else (particular, free_columns) where the
+    particular solution sets every free column to zero.
     """
     n = len(rows)
     m = len(rows[0]) if n else 0
@@ -190,14 +159,7 @@ def solve_affine(rows, rhs):
     particular = [EC_ZERO] * m
     for row_idx, col in enumerate(pivots):
         particular[col] = aug[row_idx][m]
-    null_basis = []
-    for fc in free_cols:
-        vec = [EC_ZERO] * m
-        vec[fc] = EC_ONE
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -aug[row_idx][fc]
-        null_basis.append(tuple(vec))
-    return tuple(particular), free_cols, tuple(null_basis)
+    return tuple(particular), free_cols
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +381,9 @@ def _quadratic_roots(c0, c1):
     return [(-c1 + s) * half, (-c1 - s) * half]
 
 
-def _lcm(a, b):
-    return a // math.gcd(a, b) * b
-
-
 def _cubic_rational_root(coeffs):
     """One Q(i) root of a monic cubic with Q(i) coefficients, or None."""
-    den = 1
-    for c in coeffs[:3]:
-        den = _lcm(den, c.re.denominator)
-        den = _lcm(den, c.im.denominator)
+    den = math.lcm(*(d for c in coeffs[:3] for d in (c.re.denominator, c.im.denominator)))
     # t = den * lambda turns the cubic monic with Gaussian-integer coefficients
     b0 = coeffs[0] * ExactComplex(den) * ExactComplex(den) * ExactComplex(den)
     z0 = (int(b0.re), int(b0.im))
@@ -439,6 +394,23 @@ def _cubic_rational_root(coeffs):
         if _poly_eval(coeffs, root).is_zero():
             return root
     return None
+
+
+def positive_integer_eigenvalues(matrix):
+    """The positive integers k with det(k I - matrix) = 0, ascending.
+
+    Read from the matrix alone, whatever its spectrum: once denominators are
+    cleared the characteristic polynomial has Gaussian-integer coefficients,
+    so an integer root k > 0 divides the real and the imaginary part of the
+    lowest nonzero coefficient, and only those divisors are tried.
+    """
+    coeffs = matrix.charpoly()
+    den = math.lcm(*(d for c in coeffs for d in (c.re.denominator, c.im.denominator)))
+    low = next(c for c in coeffs if not c.is_zero())
+    divisors = [1]
+    for p, e in _factorint(math.gcd(int(low.re * den), int(low.im * den))).items():
+        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
+    return sorted(k for k in divisors if _poly_eval(coeffs, ExactComplex(k)).is_zero())
 
 
 def exact_eigenvalues(matrix):
@@ -518,7 +490,7 @@ def classify_spectrum(matrix):
         if mult == 1:
             blocks.append((value, 1))
             continue
-        geo = matrix.dim - matrix.shift(value).rank()
+        geo = len(solve_affine(matrix.shift(value).rows, [EC_ZERO] * matrix.dim)[1])
         if mult == 2:
             sizes = [1, 1] if geo == 2 else [2]
         else:

@@ -2,7 +2,7 @@
 
 Deliberately separate from the package implementation: solutions are plain
 {order: coefficient} maps, compositions are hand-rolled convolutions, and the
-order-k linear systems are eliminated directly.  The cascade in the package
+order-k linear systems are eliminated directly.  The package's classify
 must agree with this order-by-order recursion on kind, obstruction values,
 free-parameter slots and coefficients.
 """

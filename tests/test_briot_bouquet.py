@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bb_oracle import oracle_classify
 from bbcenter.briot_bouquet import (BBSystem, KIND_FAMILY, KIND_NO_SOLUTION,
@@ -285,6 +287,66 @@ def test_obstruction_values_match_oracle_rhs():
         assert out.obstructions.get("pbar") == rhs[0]
         if n == 2:
             assert out.obstructions.get("rbar") == rhs[1]
+
+
+def oracle_witnesses(want):
+    """The witness names the package must use for the oracle's right-hand
+    sides: pbar/rbar and phat/rhat on rows 0-1 of the first two resonant
+    orders, r{k}[{i}] everywhere else."""
+    names = (("pbar", "rbar"), ("phat", "rhat"))
+    out = {}
+    for ordinal, k in enumerate(sorted(want.rhs_at_resonance)):
+        for i, value in enumerate(want.rhs_at_resonance[k]):
+            out[names[ordinal][i] if ordinal < 2 and i < 2 else f"r{k}[{i}]"] = value
+    return out
+
+
+def assert_matches_oracle(sys, out, order):
+    want = oracle_classify(*to_oracle(sys), order)
+    assert out.kind == want.kind
+    assert out.obstructions == oracle_witnesses(want)
+    if want.kind == KIND_NO_SOLUTION:
+        assert out.blocking_order == want.blocking_order
+        return
+    assert [(k, v) for k, v, _ in out.solution.free_parameters] == want.free_slots
+    assert list(out.solution.coefficients) == want.coefficients
+    assert_zero_residual(sys, out.solution)
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_three_dependents_two_resonances(order):
+    # x y1' = y1 + x y2, x y2' = 2 y2 + x y1, x y3' = y3/2 + y1 y2
+    nl = [MultiSeries(4, order, {(1, 0, 1, 0): ec(1)}),
+          MultiSeries(4, order, {(1, 1, 0, 0): ec(1)}),
+          MultiSeries(4, order, {(0, 1, 1, 0): ec(1)})]
+    sys = BBSystem(SmallMatrix.diagonal([ec(1), ec(2), ec(Fraction(1, 2))]),
+                   [ec(0)] * 3, nl)
+    out = classify(sys, order)
+    assert out.kind == KIND_FAMILY
+    assert [(k, v) for k, v, _ in out.solution.free_parameters] == [(1, 0), (2, 1)]
+    assert sorted(out.obstructions) == ["pbar", "phat", "r1[2]", "r2[2]", "rbar", "rhat"]
+    assert all(v.is_zero() for v in out.obstructions.values())
+    assert_matches_oracle(sys, out, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3]))
+def test_verdict_stable_from_required_order(seed, n):
+    sys = random_system(random.Random(seed), n, 12, allow_resonant=True)
+    diag = [sys.A.entry(i, i).as_integer() for i in range(n)]
+    required = max([k + 2 for k in diag if k is not None and k > 0], default=1)
+    for order in range(1, required):
+        with pytest.raises(OrderTooSmall):
+            classify(sys, order)
+    top = classify(sys, 12)
+    assert_matches_oracle(sys, top, 12)
+    for order in range(required, 12):
+        out = classify(sys, order)
+        assert (out.kind, out.obstructions, out.blocking_order) == (
+            top.kind, top.obstructions, top.blocking_order)
+        if out.solution is not None:
+            assert out.solution.free_parameters == top.solution.free_parameters
+            assert out.solution.coefficients == top.solution.coefficients[:order]
 
 
 def test_perturbed_solution_has_nonzero_residual():

@@ -7,7 +7,7 @@ from bbcenter.centers import (AXIS_NAMES, MULT_INFINITE, MULT_NONE,
                               MULT_UNIQUE, POINCARE_TAG, CenterManifoldReport,
                               HoloSystem, chart_reduce, enumerate_centers,
                               manifold_graph, manifold_residual)
-from bbcenter.errors import InvalidChart, NotNormalized
+from bbcenter.errors import InvalidChart, NotNormalized, OrderTooSmall
 from bbcenter.series import ExactComplex, MultiSeries
 from bbcenter.spectra import SmallMatrix
 
@@ -129,6 +129,26 @@ def test_toggle_family():
     assert x.period_factor == Fraction(1)
     y = reports[1]
     assert y.multiplicity == MULT_UNIQUE
+
+
+def late_resonance_system():
+    """x' = ix, y' = 5iy + x z^2, z' = -z + x^2: the x chart resonates at 5."""
+    return holo([I, ec(0, 5), ec(-1)], y={(1, 0, 2): 1}, z={(2, 0, 0): 1})
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_verdict_does_not_depend_on_order(order):
+    if order < 7:
+        with pytest.raises(OrderTooSmall) as err:
+            enumerate_centers(late_resonance_system(), order)
+        assert err.value.required == 7
+        return
+    reports = by_chart(enumerate_centers(late_resonance_system(), order))
+    assert reports[0].multiplicity == MULT_NONE
+    assert reports[0].blocking_order == 5
+    assert reports[0].obstructions == {"pbar": ec(Fraction(-4, 25), Fraction(3, 25)),
+                                       "rbar": ec(0)}
+    assert reports[1].multiplicity == MULT_UNIQUE
 
 
 def test_linear_distinct_ratio_three():

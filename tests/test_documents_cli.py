@@ -210,6 +210,52 @@ def test_cli_bb_subcommand(tmp_path, capsys):
     assert out["free_parameters"] == [{"order": 2, "variable": 0, "id": "c2[0]"}]
 
 
+def test_cli_bb_three_dependents(tmp_path, capsys):
+    # x y1' = y1 + x y2, x y2' = 2 y2 + x y1, x y3' = y3/2 + y1 y2
+    doc = {"variables": ["x", "y1", "y2", "y3"], "equations": [
+        [mono(1, (0, 1, 0, 0)), mono(1, (1, 0, 1, 0))],
+        [mono(2, (0, 0, 1, 0)), mono(1, (1, 1, 0, 0))],
+        [mono((1, 2, 0, 1), (0, 0, 0, 1)), mono(1, (0, 1, 1, 0))],
+    ]}
+    path = write_doc(tmp_path, doc)
+    code = cli.main(["bb", path, "--order", "6"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "family"
+    assert [(p["order"], p["variable"]) for p in out["free_parameters"]] == [(1, 0), (2, 1)]
+    assert sorted(out["obstructions"]) == ["pbar", "phat", "r1[2]", "r2[2]", "rbar", "rhat"]
+
+
+def test_cli_order_too_small_names_user_order(tmp_path, capsys):
+    # x' = ix, y' = 5iy + x z^2, z' = -z + x^2: the x chart resonates at order 5
+    doc = {"variables": ["x", "y", "z"], "equations": [
+        [mono(i_times(), (1, 0, 0))],
+        [mono(i_times(5), (0, 1, 0)), mono(1, (1, 0, 2))],
+        [mono(-1, (0, 0, 1)), mono(1, (2, 0, 0))],
+    ]}
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["classify", path, "--order", "5"]) == 3
+    assert "need --order 7" in capsys.readouterr().err
+    assert cli.main(["classify", path, "--order", "7"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    x = next(m for m in out["manifolds"] if m["chart"] == "x")
+    assert x["multiplicity"] == "none"
+    assert x["obstructions"]["pbar"] == "-4/25+3/25i"
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--starts", "0"), ("--starts", "-2"), ("--radius", "0"), ("--radius", "-1"),
+    ("--radius", "inf"), ("--radius", "nan"), ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_cli_verify_rejects_out_of_range_options(tmp_path, capsys, option, value):
+    path = write_doc(tmp_path, toggle_doc(0))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", path, "--order", "8", option, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and option in err
+
+
 def test_cli_text_format(tmp_path, capsys):
     path = write_doc(tmp_path, toggle_doc(1))
     code = cli.main(["classify", path, "--format", "text"])

@@ -9,7 +9,8 @@ from bbcenter.series import ExactComplex
 from bbcenter.spectra import (NF_DIAGONAL, NF_DIAGONAL_HYPERBOLIC,
                               NF_JORDAN_2, NF_JORDAN_3, NF_NOT_NORMALIZED,
                               SmallMatrix, classify_spectrum, gaussian_sqrt,
-                              normal_form_check, rational_sqrt, solve_affine)
+                              normal_form_check, positive_integer_eigenvalues,
+                              rational_sqrt, solve_affine)
 
 
 def ec(re, im=0):
@@ -37,9 +38,9 @@ def test_gaussian_sqrt():
 
 def test_solve_affine_unique():
     m = [[ec(2), ec(0)], [ec(0), ec(3)]]
-    sol, free, basis = solve_affine(m, [ec(4), ec(6)])
+    sol, free = solve_affine(m, [ec(4), ec(6)])
     assert sol == (ec(2), ec(2))
-    assert free == () and basis == ()
+    assert free == ()
 
 
 def test_solve_affine_inconsistent():
@@ -51,10 +52,9 @@ def test_solve_affine_underdetermined():
     # Jordan-style order-one system: [[0, -eps], [0, 0]] c = (p, 0)
     eps = ec(2)
     m = [[ec(0), -eps], [ec(0), ec(0)]]
-    sol, free, basis = solve_affine(m, [ec(6), ec(0)])
+    sol, free = solve_affine(m, [ec(6), ec(0)])
     assert free == (0,)
     assert sol == (ec(0), ec(-3))  # c_v = -p/eps, free slot zeroed
-    assert len(basis) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +152,19 @@ def test_positive_integers_agree_with_direct_comparison():
             if v == ec(k):
                 direct.add(k)
     assert reported == direct == {1, 3}
+    assert positive_integer_eigenvalues(m) == [1, 3]
+
+
+@pytest.mark.parametrize("rows,want", [
+    ([[0, 0], [0, 0]], []),
+    ([[0, 0], [0, 4]], [4]),                             # zero constant term
+    ([[41, -1], [42, -2]], [40]),                        # similar to diag(40, -1)
+    ([[0, 2, 0], [1, 0, 0], [0, 0, 7]], [7]),            # +-sqrt 2 do not split
+    ([[Fraction(1, 3), 0], [0, ec(0, 1)]], []),
+    ([[ec(6, 1), 1], [0, 6]], [6]),
+])
+def test_positive_integer_eigenvalues_need_no_certified_spectrum(rows, want):
+    assert positive_integer_eigenvalues(SmallMatrix(rows)) == want
 
 
 # ---------------------------------------------------------------------------
