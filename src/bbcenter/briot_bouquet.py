@@ -119,7 +119,7 @@ class ReductionStep:
     px_entry: tuple
 
 
-def _solve(bb, order):
+def _solve(bb, order, chart=None):
     """Solve (k I - A) c_k = r_k for k = 1..order, the whole trichotomy at once.
 
     r_k is the linear-in-x column at k = 1 plus the order-k coefficient of
@@ -128,9 +128,19 @@ def _solve(bb, order):
     solution, is computed once, as soon as it is known.  At a singular k, r_k
     is the witness and each free column a parameter slot set to zero in the
     representative; an inconsistent k leaves no solution.
+
+    ``chart`` is the chart row delta(x, y) = F_m(x, x y) / (lam x) - 1 of a
+    field's chart m with eigenvalue lam: ``bb`` then holds the dependent
+    rows of the field along z_m = x, z_d = x y_d, divided by lam x, and the
+    equation is x y' = A y + px x + f(x, y) - delta (x y' + y).  delta_q, the
+    order-q coefficient of delta, needs only c_1..c_q, so r_k gains
+    -sum_{q<k} (k - q + 1) delta_q c_{k-q}; the chart's graph is x y(x).
+    Without a chart row delta is zero.
     """
     n = bb.n
     rows = [[(e[0], e[1:], c) for e, c in row.terms.items()] for row in bb.nonlinear]
+    chart_terms = ([] if chart is None
+                   else [(e[0], e[1:], c) for e, c in chart.terms.items()])
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     powers = {(0,) * n: [EC_ONE], **{u: [EC_ZERO] for u in units}}
     recipes = []  # y^e = y_j * y^parent, parents listed before their products
@@ -143,11 +153,18 @@ def _solve(bb, order):
             powers[e] = [EC_ZERO]
             recipes.append((powers[e], powers[units[j]], powers[parent], sum(parent)))
 
-    for row in rows:
+    def coefficient(terms, k, total=EC_ZERO):
+        for e0, e, coeff in terms:
+            p = powers[e]
+            if 0 <= k - e0 < len(p) and not p[k - e0].is_zero():
+                total = total + coeff * p[k - e0]
+        return total
+
+    for row in rows + [chart_terms]:
         for _, e, _ in row:
             track(e)
 
-    table, slots, witnesses, resonances = [], [], {}, 0
+    table, slots, witnesses, resonances, delta = [], [], {}, 0, [EC_ZERO]
     for k in range(1, order + 1):
         for out, y, parent, low in recipes:
             total = EC_ZERO
@@ -157,11 +174,11 @@ def _solve(bb, order):
             out.append(total)
         rhs = []
         for i, row in enumerate(rows):
-            total = bb.px[i] if k == 1 else EC_ZERO
-            for e0, e, coeff in row:
-                p = powers[e]
-                if 0 <= k - e0 < len(p) and not p[k - e0].is_zero():
-                    total = total + coeff * p[k - e0]
+            total = coefficient(row, k, bb.px[i] if k == 1 else EC_ZERO)
+            y = powers[units[i]]
+            for q in range(1, k):
+                if not (delta[q].is_zero() or y[k - q].is_zero()):
+                    total = total - delta[q] * y[k - q] * (k - q + 1)
             rhs.append(total)
         matrix = SmallMatrix.identity(n) * ExactComplex(k) - bb.A
         solved = solve_affine(matrix.rows, rhs)
@@ -178,9 +195,9 @@ def _solve(bb, order):
         for u, c in zip(units, solved[0]):
             powers[u].append(c)
         table.append(solved[0])
-    reps = tuple(
-        MultiSeries(1, order, {(k,): powers[u][k] for k in range(1, order + 1)})
-        for u in units)
+        delta.append(coefficient(chart_terms, k))
+    reps = tuple(MultiSeries(1, order, {(k,): powers[u][k] for k in range(1, order + 1)})
+                 for u in units)
     solution = FormalSolution(order, tuple(table), tuple(slots), reps)
     return BBClassification(KIND_FAMILY if slots else KIND_UNIQUE, witnesses, solution)
 
@@ -243,7 +260,7 @@ def reduction_step(bb):
     )
 
 
-def classify(bb, order=12):
+def classify(bb, order=12, chart=None):
     """Full trichotomy of a Briot-Bouquet system, exactly.
 
     One order-by-order recursion covers every case: it solves
@@ -258,11 +275,14 @@ def classify(bb, order=12):
     and the free-parameter count are basis independent.  The resonant orders
     come from A itself, so an order too small to reach the largest of them
     raises instead of returning a verdict that a larger order would change.
+    ``chart`` classifies a chart of a field from its own terms instead (see
+    ``_solve``); the representative stays y(x), and the chart's graph is
+    x y(x).
     """
     integers = positive_integer_eigenvalues(bb.A)
     if integers and order < integers[-1] + 2:
         raise OrderTooSmall(order, integers[-1], integers[-1] + 2)
-    return _solve(bb, order)
+    return _solve(bb, order, chart)
 
 
 def residual(bb, solution, order=None):

@@ -8,9 +8,13 @@ family) is exactly the census of holomorphic center manifolds tangent to that
 axis, and each manifold carries an isochronous family of period 2*pi/|omega|
 where i*omega is the chart eigenvalue.
 
-The reduction is computed generically by exact series division, which
-reproduces the per-normal-form displayed systems (including the constant term
-that kills the chart next to a Jordan coupling) without case analysis.
+With lam the chart eigenvalue, the reduced system's linear data are closed
+forms of the field's linear part L: A = L_dd / lam - I, and the constants
+L[d][chart] / lam, which kill the chart next to a Jordan coupling.
+``enumerate_centers`` solves each chart straight from the field's sparse
+terms with the one Briot-Bouquet recursion, which also takes the chart row.
+``chart_reduce`` builds the displayed Briot-Bouquet system by exact series
+division, without case analysis; it is the reference the tests check against.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import pi
 from . import briot_bouquet as bb_engine
 from .errors import (DimensionMismatch, InvalidChart, NotNormalized,
                      OrderTooSmall, UncertifiableSpectrum)
-from .series import EC_ZERO, ExactComplex, MultiSeries
+from .series import ExactComplex, MultiSeries
 from .spectra import (NF_NOT_NORMALIZED, SmallMatrix, classify_spectrum,
                       normal_form_check)
 
@@ -132,10 +136,40 @@ class CenterManifoldReport:
         return 2.0 * pi * float(self.period_factor)
 
 
-def _times_t(series):
-    """Multiply a univariate series by its variable, raising the order bound."""
-    return MultiSeries(1, series.order + 1,
-                       {(e[0] + 1,): c for e, c in series.terms.items()})
+def _chart_linear(h, chart):
+    """The linear data of one chart, in closed form from the field's linear part.
+
+    Returns (lam, dependents, A, constants, slope_free): the chart eigenvalue,
+    the dependent coordinates, A = L_dd / lam - I, the constants L[d][chart] /
+    lam (a nonzero one excludes the chart) and the dependents whose column of
+    A is zero and whose coupling L[chart][d] into the chart row vanishes.
+    """
+    if not 0 <= chart < h.dim:
+        raise IndexError(f"chart index {chart} out of range")
+    lam = h.linear.entry(chart, chart)
+    if lam.is_zero():
+        raise InvalidChart("the chart eigenvalue is zero; the chart division is illegal")
+    deps = tuple(k for k in range(h.dim) if k != chart)
+    A = SmallMatrix([[h.linear.entry(d, j) / lam - int(d == j) for j in deps]
+                     for d in deps])
+    constants = tuple(h.linear.entry(d, chart) / lam for d in deps)
+    slope_free = tuple(
+        d for pos, d in enumerate(deps)
+        if h.linear.entry(chart, d).is_zero()
+        and all(A.entry(i, pos).is_zero() for i in range(len(deps))))
+    return lam, deps, A, constants, slope_free
+
+
+def _field_along(h, subs, order):
+    """The field's rows with each coordinate k replaced by the series subs[k]."""
+    rows = []
+    for k in range(h.dim):
+        row = h.nonlinear[k].with_order(order).substitute(subs, order)
+        for j in range(h.dim):
+            if not h.linear.entry(k, j).is_zero():
+                row = row + subs[j] * h.linear.entry(k, j)
+        rows.append(row)
+    return rows
 
 
 def chart_reduce(h, chart, order=12):
@@ -144,82 +178,53 @@ def chart_reduce(h, chart, order=12):
     With t the chart variable and z_k = t u_k(t), each dependent coordinate
     satisfies (dz_chart/dt) u_k-equation; dividing by t and by the unit-series
     factor of the denominator leaves a Briot-Bouquet system whose linear data
-    realize the eigenvalue ratios of the original field.
+    realize the eigenvalue ratios of the original field.  The linear data come
+    in closed form from ``_chart_linear``; the series division supplies the
+    linear-in-t column and the nonlinear part.
     """
-    if not 0 <= chart < h.dim:
-        raise IndexError(f"chart index {chart} out of range")
-    lam = h.linear.entry(chart, chart)
-    if lam.is_zero():
-        raise InvalidChart("the chart eigenvalue is zero; the chart division is illegal")
-    deps = tuple(k for k in range(h.dim) if k != chart)
-    nvars = h.dim  # t plus one u per dependent coordinate
-    work = order + 1
-    t = MultiSeries.variable(nvars, work, 0)
-    subs = []
-    for k in range(h.dim):
-        if k == chart:
-            subs.append(t)
-        else:
-            pos = deps.index(k)
-            subs.append(t * MultiSeries.variable(nvars, work, 1 + pos))
-
-    def substituted_row(k):
-        row = MultiSeries.zero(nvars, work)
-        for j in range(h.dim):
-            coeff = h.linear.entry(k, j)
-            if not coeff.is_zero():
-                row = row + subs[j] * coeff
-        row = row + h.nonlinear[k].with_order(work).substitute(subs, work)
-        return row
-
-    den = substituted_row(chart).divide_by_x()
-    den_inv = den.reciprocal()
-    rows = []
-    for k in deps:
-        w = substituted_row(k).divide_by_x()
-        u = MultiSeries.variable(nvars, order, 1 + deps.index(k))
-        rows.append(w * den_inv - u)
-
-    constants = tuple(r.constant_term() for r in rows)
+    lam, deps, A, constants, slope_free = _chart_linear(h, chart)
     if any(not c.is_zero() for c in constants):
         return ChartReduction(chart, deps, None, True, constants, (), order)
+    nvars = h.dim  # t plus one u per dependent coordinate
+    u = [MultiSeries.variable(nvars, order + 1, j) for j in range(nvars)]
+    subs = [u[0] if k == chart else u[0] * u[1 + deps.index(k)] for k in range(h.dim)]
+    rows = [row.divide_by_x() for row in _field_along(h, subs, order + 1)]
+    den_inv = rows[chart].reciprocal()
+    px, nonlinear = [], []
+    for k in deps:
+        row = rows[k] * den_inv
+        px.append(row.coeff((1,) + (0,) * len(deps)))
+        nonlinear.append(MultiSeries(nvars, order, {
+            e: c for e, c in row.terms.items() if sum(e) >= 2}))
+    system = bb_engine.BBSystem(A, px, nonlinear)
+    return ChartReduction(chart, deps, system, False, constants, slope_free, order)
 
-    n = len(deps)
-    A = [[EC_ZERO] * n for _ in range(n)]
-    px = [EC_ZERO] * n
-    nonlinear = []
-    for i, r in enumerate(rows):
-        kept = {}
-        for exps, coeff in r.terms.items():
-            degree = sum(exps)
-            if degree >= 2:
-                kept[exps] = coeff
-            elif degree == 1:
-                if exps[0] == 1:
-                    px[i] = coeff
-                else:
-                    A[i][exps.index(1) - 1] = coeff
-        nonlinear.append(MultiSeries(nvars, order, kept))
-    system = bb_engine.BBSystem(SmallMatrix(A), px, nonlinear)
 
-    slope_free = []
-    for pos in range(n):
-        var = 1 + pos
-        pinned = False
-        for r in rows:
-            for exps, coeff in r.terms.items():
-                if exps[0] != 0 or exps[var] == 0:
-                    continue
-                if all(e == 0 for i, e in enumerate(exps) if i not in (0, var)):
-                    pinned = True
-                    break
-            if pinned:
-                break
-        if not pinned:
-            slope_free.append(deps[pos])
+def _chart_system(h, chart, lam, deps, A, order):
+    """The chart's equation straight from the field's sparse terms.
 
-    return ChartReduction(chart, deps, system, False, constants,
-                          tuple(slope_free), order)
+    Under z_chart = t, z_d = t u_d and division by lam t, a field monomial
+    z^e becomes t^(|e| - 1) u^(e without the chart).  The dependent rows give
+    a ``BBSystem``; the chart row, less its constant 1, is the chart that
+    ``briot_bouquet.classify`` takes.  Terms of degree above ``order - 1``,
+    the Briot-Bouquet order solved, cannot reach it.
+    """
+    def divided(terms):
+        out = {}
+        for e, c in terms:
+            exps = (sum(e) - 1,) + tuple(e[d] for d in deps)
+            if sum(exps) < order:
+                out[exps] = c / lam
+        return out
+
+    rows = [divided(h.nonlinear[d].terms.items()) for d in deps]
+    px = [row.pop((1,) + (0,) * len(deps), 0) for row in rows]
+    system = bb_engine.BBSystem(
+        A, px, [MultiSeries(h.dim, order - 1, row) for row in rows])
+    couplings = [(tuple(int(i == d) for i in range(h.dim)), h.linear.entry(chart, d))
+                 for d in deps]
+    row = divided(list(h.nonlinear[chart].terms.items()) + couplings)
+    return system, MultiSeries(h.dim, order - 1, row)
 
 
 # ---------------------------------------------------------------------------
@@ -311,64 +316,44 @@ def enumerate_centers(h, order=12):
 
 
 def _chart_report(h, m, pattern, order):
-    axis = AXIS_NAMES[m]
-    factor = _period_factor(h, h.linear.entry(m, m).im)
-    red = chart_reduce(h, m, order)
-    if red.excluded:
+    common = dict(chart=m, pattern=pattern, order=order,
+                  period_factor=_period_factor(h, h.linear.entry(m, m).im))
+    lam, deps, A, constants, slope_free = _chart_linear(h, m)
+    if any(not c.is_zero() for c in constants):
         witnesses = {
             f"constant[{AXIS_NAMES[k]}]": c
-            for k, c in zip(red.dependents, red.constants) if not c.is_zero()}
+            for k, c in zip(deps, constants) if not c.is_zero()}
         return CenterManifoldReport(
-            chart=m,
-            tangency=_tangency([m]),
-            multiplicity=MULT_NONE,
-            theorem_tag=f"{pattern}/chart-excluded",
-            pattern=pattern,
-            period_factor=factor,
-            order=order,
-            obstructions=witnesses,
-        )
+            tangency=_tangency([m]), multiplicity=MULT_NONE,
+            theorem_tag=f"{pattern}/chart-excluded", obstructions=witnesses, **common)
+    system, chart = _chart_system(h, m, lam, deps, A, order)
     try:
-        verdict = bb_engine.classify(red.system, order - 1)
+        verdict = bb_engine.classify(system, order - 1, chart=chart)
     except OrderTooSmall as err:
         # the chart's Briot-Bouquet order k is order k + 1 of the graph series
         raise OrderTooSmall(order, err.resonance + 1, err.required + 1) from None
     if verdict.kind == bb_engine.KIND_NO_SOLUTION:
         return CenterManifoldReport(
-            chart=m,
-            tangency=_tangency([m]),
-            multiplicity=MULT_NONE,
-            theorem_tag=f"{pattern}/blocked",
-            pattern=pattern,
-            period_factor=factor,
-            order=order,
-            obstructions=dict(verdict.obstructions),
-            blocking_order=verdict.blocking_order + 1,
-        )
-    graphs = {}
-    for pos, k in enumerate(red.dependents):
-        graphs[k] = _times_t(verdict.solution.representative[pos])
-    slots = []
-    for k in red.slope_free:
-        slots.append((1, k, f"{AXIS_NAMES[k]}'(0)"))
-    for k_bb, pos, _ in verdict.solution.free_parameters:
-        k = red.dependents[pos]
-        slots.append((k_bb + 1, k, f"c{k_bb + 1}[{AXIS_NAMES[k]}]"))
+            tangency=_tangency([m]), multiplicity=MULT_NONE,
+            theorem_tag=f"{pattern}/blocked", obstructions=dict(verdict.obstructions),
+            blocking_order=verdict.blocking_order + 1, **common)
+    slots = [(1, k, f"{AXIS_NAMES[k]}'(0)") for k in slope_free] + [
+        (k_bb + 1, deps[pos], f"c{k_bb + 1}[{AXIS_NAMES[deps[pos]]}]")
+        for k_bb, pos, _ in verdict.solution.free_parameters]
     slots.sort(key=lambda s: (s[0], s[1]))
     multiplicity = (MULT_INFINITE if verdict.solution.free_parameters
                     else MULT_UNIQUE)
     suffix = "family" if multiplicity == MULT_INFINITE else "unique"
     return CenterManifoldReport(
-        chart=m,
-        tangency=_tangency([m] + list(red.slope_free)),
+        tangency=_tangency([m] + list(slope_free)),
         multiplicity=multiplicity,
         theorem_tag=f"{pattern}/{suffix}",
-        pattern=pattern,
-        period_factor=factor,
-        order=order,
         free_parameters=tuple(slots),
-        graphs=graphs,
+        graphs={d: MultiSeries(1, order, {(k + 1,): row[pos] for k, row
+                                         in enumerate(verdict.solution.coefficients, 1)})
+                for pos, d in enumerate(deps)},
         obstructions=dict(verdict.obstructions),
+        **common,
     )
 
 
@@ -396,29 +381,8 @@ def manifold_residual(h, report, order=None):
     if order is None:
         order = report.order
     m = report.chart
-    graphs = report.graphs
-    t = MultiSeries.variable(1, order, 0)
-    subs = []
-    for k in range(h.dim):
-        if k == m:
-            subs.append(t)
-        else:
-            g = graphs[k]
-            subs.append(g.truncate(order) if g.order > order else g.with_order(order))
-    rows = {}
-    for k in range(h.dim):
-        row = MultiSeries.zero(1, order)
-        for j in range(h.dim):
-            coeff = h.linear.entry(k, j)
-            if not coeff.is_zero():
-                row = row + subs[j] * coeff
-        row = row + h.nonlinear[k].with_order(order).substitute(subs, order)
-        rows[k] = row
-    den_over_t = rows[m].divide_by_x()
-    out = {}
-    for k in range(h.dim):
-        if k == m:
-            continue
-        dg = subs[k].derivative(0)
-        out[k] = _times_t(den_over_t * dg) - rows[k]
-    return out
+    subs = [MultiSeries.variable(1, order, 0) if k == m
+            else report.graphs[k].with_order(order) for k in range(h.dim)]
+    rows = _field_along(h, subs, order)
+    return {k: rows[m] * subs[k].derivative(0).with_order(order) - rows[k]
+            for k in range(h.dim) if k != m}

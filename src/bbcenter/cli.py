@@ -4,8 +4,9 @@ Subcommands: ``classify`` (theorem dispatch and obstructions), ``series``
 (adds manifold coefficients), ``verify`` (adds the numeric block), ``bb``
 (raw Briot-Bouquet classification of a document read as x y' = f).
 
-Exit codes: 0 classified, 2 parse error, 3 uncertifiable spectrum or
-unnormalized input, 4 verification failure.
+Exit codes: 0 classified, 2 parse error, 3 uncertifiable spectrum,
+unnormalized input or an ``--order`` below the one the system needs,
+4 verification failure.  ``--order`` is capped at ``MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from . import documents
 from .briot_bouquet import classify as bb_classify
 from .centers import enumerate_centers
-from .errors import (BBCenterError, NotNormalized, OrderTooSmall, ParseError,
+from .errors import (BBCenterError, NotNormalized, ParseError,
                      UncertifiableSpectrum)
 from .spectra import numeric_spectrum
 from .verify import check_isochronous
@@ -26,6 +27,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNCERTIFIABLE = 3
 EXIT_VERIFY = 4
+
+MAX_ORDER = 64
 
 
 def _checked(convert, accept, requirement):
@@ -50,8 +53,9 @@ def _build_parser():
 
     def common(p, verify=False):
         p.add_argument("files", nargs="+", help="system documents (JSON), or - for stdin")
-        p.add_argument("--order", type=int, default=12,
-                       help="series truncation order (default 12)")
+        p.add_argument("--order", default=12, type=_checked(
+            int, lambda v: 1 <= v <= MAX_ORDER, f"an integer from 1 to {MAX_ORDER}"),
+            help=f"series truncation order, 1 to {MAX_ORDER} (default 12)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--numeric-fallback", action="store_true",
                        help="report a flagged double-precision spectrum instead of "
@@ -129,11 +133,7 @@ def _process_system(text, args):
 
 def _process_bb(text, args):
     bb = documents.parse_bb_document(text, order=args.order)
-    try:
-        out = bb_classify(bb, order=args.order)
-    except OrderTooSmall as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None, EXIT_PARSE
+    out = bb_classify(bb, order=args.order)
     return documents.bb_report_document(bb, out, args.order), EXIT_OK
 
 

@@ -19,6 +19,11 @@ from .series import ExactComplex, MultiSeries
 from .spectra import SmallMatrix, classify_spectrum, normal_form_check
 
 
+def _is_int(value):
+    """An integer, and not JSON ``true``/``false``: ``bool`` subclasses ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _pair_to_ec(value, location):
     try:
         (rn, rd), (im_n, im_d) = value
@@ -26,7 +31,7 @@ def _pair_to_ec(value, location):
         raise ParseError("coefficient must be [[re_num, re_den], [im_num, im_den]]",
                          location) from None
     for v in (rn, rd, im_n, im_d):
-        if not isinstance(v, int):
+        if not _is_int(v):
             raise ParseError(f"coefficient entries must be integers, got {v!r}",
                              location)
     if rd == 0 or im_d == 0:
@@ -63,7 +68,7 @@ def _parse_monomials(doc, nvars, order):
                 raise ParseError("monomial must be an object", where)
             exps = mono.get("exponents")
             if (not isinstance(exps, list) or len(exps) != nvars
-                    or not all(isinstance(e, int) and e >= 0 for e in exps)):
+                    or not all(_is_int(e) and e >= 0 for e in exps)):
                 raise ParseError(
                     f"exponents must be {nvars} nonnegative integers", where)
             if sum(exps) == 0:
@@ -104,7 +109,7 @@ def parse_system(document, order=12):
     series = tuple(MultiSeries(dim, order, terms) for terms in nonlinear)
     scale = doc.get("time_scale", [1, 1])
     if (not isinstance(scale, list) or len(scale) != 2
-            or not all(isinstance(v, int) for v in scale) or scale[1] == 0
+            or not all(_is_int(v) for v in scale) or scale[1] == 0
             or Fraction(*scale) <= 0):
         raise ParseError("time_scale must be a positive rational [num, den]",
                          "time_scale")

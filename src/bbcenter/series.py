@@ -110,9 +110,6 @@ class ExactComplex:
         """Squared modulus, an exact nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
-    def is_real(self):
-        return self.im == 0
-
     def is_purely_imaginary(self):
         """Nonzero and on the imaginary axis."""
         return self.re == 0 and self.im != 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, UncertifiableSpectrum
@@ -457,12 +457,6 @@ class SpectrumInfo:
     eigenvalues: tuple
     diagonalizable: bool
     jordan_blocks: tuple
-    imaginary_part_ratios: dict = field(compare=False)
-    positive_integer_eigenvalues: tuple = ()
-    certified: bool = True
-
-    def purely_imaginary(self):
-        return tuple((v, m) for v, m in self.eigenvalues if v.is_purely_imaginary())
 
 
 def _sort_key(value):
@@ -497,23 +491,10 @@ def classify_spectrum(matrix):
             sizes = {3: [1, 1, 1], 2: [2, 1], 1: [3]}[geo]
         blocks.extend((value, s) for s in sizes)
     assert sum(s for _, s in blocks) == matrix.dim
-    diagonalizable = all(s == 1 for _, s in blocks)
-
-    ratios = {}
-    imag = [(i, v) for i, (v, _) in enumerate(distinct) if v.is_purely_imaginary()]
-    for a, (ia, va) in enumerate(imag):
-        for ib, vb in imag[a + 1:]:
-            ratios[(ia, ib)] = vb.im / va.im
-
-    positives = tuple((v, v.as_integer()) for v, _ in distinct
-                      if v.as_integer() is not None and v.as_integer() > 0)
-
     return SpectrumInfo(
         eigenvalues=tuple(distinct),
-        diagonalizable=diagonalizable,
+        diagonalizable=all(s == 1 for _, s in blocks),
         jordan_blocks=tuple(blocks),
-        imaginary_part_ratios=ratios,
-        positive_integer_eigenvalues=positives,
     )
 
 

@@ -118,3 +118,22 @@ def oracle_classify(A_rows, px, terms, order):
         result.coefficients.append(tuple(particular))
     result.kind = "family" if result.free_slots else "unique"
     return result
+
+
+def to_oracle(bb):
+    """The arguments of ``oracle_classify`` read off a package ``BBSystem``."""
+    A_rows = [[bb.A.entry(i, j) for j in range(bb.n)] for i in range(bb.n)]
+    terms = [[(c, e) for e, c in row.terms.items()] for row in bb.nonlinear]
+    return A_rows, list(bb.px), terms
+
+
+def oracle_witnesses(want):
+    """The witness names the package must use for the oracle's right-hand
+    sides: pbar/rbar and phat/rhat on rows 0-1 of the first two resonant
+    orders, r{k}[{i}] everywhere else."""
+    names = (("pbar", "rbar"), ("phat", "rhat"))
+    out = {}
+    for ordinal, k in enumerate(sorted(want.rhs_at_resonance)):
+        for i, value in enumerate(want.rhs_at_resonance[k]):
+            out[names[ordinal][i] if ordinal < 2 and i < 2 else f"r{k}[{i}]"] = value
+    return out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bb_oracle import oracle_classify
+from bb_oracle import oracle_classify, oracle_witnesses, to_oracle
 from bbcenter.briot_bouquet import (BBSystem, KIND_FAMILY, KIND_NO_SOLUTION,
                                     KIND_UNIQUE, classify,
                                     formal_solve_nonresonant, reduction_step,
@@ -240,12 +240,6 @@ def random_system(rng, n, order, allow_resonant):
     return BBSystem(SmallMatrix(A), px, rows)
 
 
-def to_oracle(bb):
-    A_rows = [[bb.A.entry(i, j) for j in range(bb.n)] for i in range(bb.n)]
-    terms = [[(c, e) for e, c in row.terms.items()] for row in bb.nonlinear]
-    return A_rows, list(bb.px), terms
-
-
 def test_oracle_equivalence_random():
     rng = random.Random(20260810)
     order = 9
@@ -287,18 +281,6 @@ def test_obstruction_values_match_oracle_rhs():
         assert out.obstructions.get("pbar") == rhs[0]
         if n == 2:
             assert out.obstructions.get("rbar") == rhs[1]
-
-
-def oracle_witnesses(want):
-    """The witness names the package must use for the oracle's right-hand
-    sides: pbar/rbar and phat/rhat on rows 0-1 of the first two resonant
-    orders, r{k}[{i}] everywhere else."""
-    names = (("pbar", "rbar"), ("phat", "rhat"))
-    out = {}
-    for ordinal, k in enumerate(sorted(want.rhs_at_resonance)):
-        for i, value in enumerate(want.rhs_at_resonance[k]):
-            out[names[ordinal][i] if ordinal < 2 and i < 2 else f"r{k}[{i}]"] = value
-    return out
 
 
 def assert_matches_oracle(sys, out, order):

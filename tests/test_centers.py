@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bb_oracle import oracle_classify, oracle_witnesses, to_oracle
 from bbcenter.centers import (AXIS_NAMES, MULT_INFINITE, MULT_NONE,
                               MULT_UNIQUE, POINCARE_TAG, CenterManifoldReport,
                               HoloSystem, chart_reduce, enumerate_centers,
@@ -99,6 +102,108 @@ def test_jordan_z_chart_matches_equal_ratio_form():
     assert A.entry(1, 1) == ec(-half)
     assert A.entry(0, 1) == ec(0, -half)
     assert A.entry(1, 0) == ec(0)
+
+
+# ---------------------------------------------------------------------------
+# enumeration against the displayed reduction and the independent oracle
+
+CROSS_CHECK_EIGENVALUES = [I, ec(0, 2), ec(0, 3), ec(0, -1), ec(0, Fraction(1, 2)),
+                           ec(1), ec(-1)]
+
+
+def random_normalized(rng, dim, order):
+    """A normalized system with an i eigenvalue, a Jordan coupling between
+    equal neighbours now and then, and sparse quadratic and cubic terms."""
+    diag = [I] + [rng.choice(CROSS_CHECK_EIGENVALUES) for _ in range(dim - 1)]
+    rng.shuffle(diag)
+    linear = [[diag[i] if i == j else ec(0) for j in range(dim)] for i in range(dim)]
+    for i in range(dim - 1):
+        if diag[i] == diag[i + 1] and rng.random() < 0.5:
+            linear[i][i + 1] = ec(1)
+    rows = {}
+    for name in AXIS_NAMES[:dim]:
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * dim
+            for _ in range(rng.choice([2, 3])):
+                exps[rng.randrange(dim)] += 1
+            terms[tuple(exps)] = ec(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                    Fraction(rng.randint(-1, 1), 2))
+        rows[name] = terms
+    return holo(linear, order=order, **rows)
+
+
+def divided_linear_data(h, m):
+    """The constants and A of chart m, read off F_d(t, t u) / F_m(t, t u) - u_d
+    by series division (the closed forms in ``centers`` are not used)."""
+    deps = [k for k in range(h.dim) if k != m]
+    u = [MultiSeries.variable(h.dim, 3, j) for j in range(h.dim)]
+    subs = [u[0] if k == m else u[0] * u[1 + deps.index(k)] for k in range(h.dim)]
+    rows = []
+    for k in range(h.dim):
+        row = h.nonlinear[k].with_order(3).substitute(subs, 3)
+        for j in range(h.dim):
+            row = row + subs[j] * h.linear.entry(k, j)
+        rows.append(row.divide_by_x())
+    den_inv = rows[m].reciprocal()
+    out = [rows[d] * den_inv - u[1 + pos] for pos, d in enumerate(deps)]
+    units = [tuple(int(i == 1 + j) for i in range(h.dim)) for j in range(len(deps))]
+    return (tuple(row.coeff((0,) * h.dim) for row in out),
+            [[row.coeff(e) for e in units] for row in out])
+
+
+def derived_slope_free(red, A):
+    """Dependents with a zero column of A and no pure u_d^j term at t^0."""
+    out = []
+    for pos, d in enumerate(red.dependents):
+        pure = any(e[0] == 0 and sum(e) == e[1 + pos] and not c.is_zero()
+                   for row in red.system.nonlinear for e, c in row.terms.items())
+        if not pure and all(row[pos].is_zero() for row in A):
+            out.append(d)
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(3, 8))
+def test_enumerate_matches_chart_reduce_and_oracle(seed, dim, order):
+    reports = None
+    while reports is None:
+        h = random_normalized(random.Random(seed), dim, order)
+        try:
+            reports = enumerate_centers(h, order)
+        except OrderTooSmall as err:
+            assert err.required > order
+            order = err.required
+    for r in reports:
+        if r.chart is None:
+            continue
+        red = chart_reduce(h, r.chart, order)
+        constants, A = divided_linear_data(h, r.chart)
+        assert red.constants == constants
+        if red.excluded:
+            assert any(not c.is_zero() for c in constants)
+            assert r.theorem_tag.endswith("/chart-excluded")
+            continue
+        assert red.system.A == SmallMatrix(A)
+        assert red.slope_free == derived_slope_free(red, A)
+        if r.multiplicity != MULT_NONE:
+            assert all(row.is_zero() for row in manifold_residual(h, r).values())
+        want = oracle_classify(*to_oracle(red.system), order - 1)
+        assert r.obstructions == oracle_witnesses(want)
+        if want.kind == "no_solution":
+            assert r.multiplicity == MULT_NONE
+            assert r.blocking_order == want.blocking_order + 1
+            continue
+        assert r.multiplicity == (
+            MULT_INFINITE if want.kind == "family" else MULT_UNIQUE)
+        slots = [(1, k) for k in red.slope_free] + [
+            (k + 1, red.dependents[col]) for k, col in want.free_slots]
+        assert [(k, v) for k, v, _ in r.free_parameters] == sorted(slots)
+        for pos, k in enumerate(red.dependents):
+            graph = r.graphs[k]
+            assert graph.order == order and graph.coeff((1,)) == ec(0)
+            for bb_order, row in enumerate(want.coefficients, start=1):
+                assert graph.coeff((bb_order + 1,)) == row[pos]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bbcenter
 from bbcenter import cli, documents
 from bbcenter.errors import ParseError
 from bbcenter.series import ExactComplex
@@ -241,6 +246,39 @@ def test_cli_order_too_small_names_user_order(tmp_path, capsys):
     x = next(m for m in out["manifolds"] if m["chart"] == "x")
     assert x["multiplicity"] == "none"
     assert x["obstructions"]["pbar"] == "-4/25+3/25i"
+    # the same error from bb: exit 3 with the file name, as for classify
+    bb_path = write_doc(tmp_path, {"variables": ["x", "u"], "equations": [
+        [mono(1, (1, 0)), mono(2, (0, 1))]]}, name="bb.json")
+    assert cli.main(["bb", bb_path, "--order", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {bb_path}:" in err and "need --order 4" in err
+
+
+def _with_true(doc, where):
+    """The toggle document with one integer replaced by JSON true."""
+    doc = json.loads(json.dumps(doc))
+    if where == "coefficient":
+        doc["equations"][0][0]["coefficient"][1][0] = True
+    elif where == "exponent":
+        doc["equations"][1][0]["exponents"][1] = True
+    else:
+        doc["time_scale"] = [True, 1]
+    return doc
+
+
+@pytest.mark.parametrize("case", [
+    "coefficient", "exponent", "time_scale", "order 0", "order 65"])
+def test_cli_rejects_bool_integers_and_uncapped_order(tmp_path, capsys, case):
+    if case.startswith("order"):
+        path = write_doc(tmp_path, toggle_doc(0))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["classify", path, "--order", case.split()[1]])
+        assert exit_.value.code == 2
+        assert "an integer from 1 to 64" in capsys.readouterr().err
+        return
+    path = write_doc(tmp_path, _with_true(toggle_doc(0), case))
+    assert cli.main(["classify", path]) == 2
+    assert f"error: {path}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option,value", [
@@ -272,3 +310,12 @@ def test_cli_multiple_files_worst_exit(tmp_path, capsys):
     bad = write_doc(tmp_path, bad_doc, "bad.json")
     code = cli.main(["classify", good, bad])
     assert code == 2
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported by the verify functions that use it, not at startup
+    env = dict(os.environ, PYTHONPATH=str(Path(bbcenter.__file__).parents[1]))
+    probe = "import sys, bbcenter.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -66,8 +66,6 @@ def test_diagonal_spectrum():
     values = [v for v, _ in info.eigenvalues]
     assert values == [I, ec(0, 2), ec(1)]
     assert info.diagonalizable
-    assert info.imaginary_part_ratios[(0, 1)] == Fraction(2)
-    assert info.positive_integer_eigenvalues == ((ec(1), 1),)
 
 
 def test_triple_eigenvalue_diagonalizable():
@@ -145,14 +143,12 @@ def test_similarity_invariance(diag, which):
 def test_positive_integers_agree_with_direct_comparison():
     m = SmallMatrix.diagonal([ec(3), ec(Fraction(5, 2)), ec(1)])
     info = classify_spectrum(m)
-    reported = {n for _, n in info.positive_integer_eigenvalues}
-    direct = set()
+    direct = []
     for v, _ in info.eigenvalues:
         for k in range(1, 13):
             if v == ec(k):
-                direct.add(k)
-    assert reported == direct == {1, 3}
-    assert positive_integer_eigenvalues(m) == [1, 3]
+                direct.append(k)
+    assert positive_integer_eigenvalues(m) == sorted(direct) == [1, 3]
 
 
 @pytest.mark.parametrize("rows,want", [
@@ -162,6 +158,7 @@ def test_positive_integers_agree_with_direct_comparison():
     ([[0, 2, 0], [1, 0, 0], [0, 0, 7]], [7]),            # +-sqrt 2 do not split
     ([[Fraction(1, 3), 0], [0, ec(0, 1)]], []),
     ([[ec(6, 1), 1], [0, 6]], [6]),
+    ([[5, 1], [0, 2]], [2, 5]),                          # ascending
 ])
 def test_positive_integer_eigenvalues_need_no_certified_spectrum(rows, want):
     assert positive_integer_eigenvalues(SmallMatrix(rows)) == want
