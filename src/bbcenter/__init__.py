@@ -17,8 +17,7 @@ from .documents import (bb_report_document, emit_report, emit_system_document,
                         parse_bb_document, parse_system, report_document)
 from .series import EC_I, EC_ONE, EC_ZERO, ExactComplex, MultiSeries
 from .spectra import (SmallMatrix, SpectrumInfo, classify_spectrum,
-                      gaussian_sqrt, normal_form_check, rational_sqrt,
-                      solve_affine)
+                      normal_form_check, solve_affine)
 from .verify import (Trajectory, VerifyResult, check_isochronous,
                      check_residual_numeric, compile_field, integrate)
 
@@ -33,8 +32,8 @@ __all__ = [
     "bb_report_document", "chart_reduce", "check_isochronous",
     "check_residual_numeric", "classify", "classify_spectrum", "compile_field",
     "emit_report", "emit_system_document", "enumerate_centers",
-    "formal_solve_nonresonant", "gaussian_sqrt", "integrate",
+    "formal_solve_nonresonant", "integrate",
     "manifold_graph", "manifold_residual", "normal_form_check",
-    "parse_bb_document", "parse_system", "rational_sqrt", "reduction_step",
+    "parse_bb_document", "parse_system", "reduction_step",
     "report_document", "residual", "solve_affine",
 ]

@@ -230,7 +230,7 @@ def _chart_system(h, chart, lam, deps, A, order):
 # ---------------------------------------------------------------------------
 # eigenvalue patterns
 
-def _pattern_label(h, diag, imag_idx, info):
+def _pattern_label(h, diag, imag_idx):
     dim = h.dim
     count = len(imag_idx)
     values = [diag[i] for i in imag_idx]
@@ -238,7 +238,7 @@ def _pattern_label(h, diag, imag_idx, info):
     chains = [i for i in range(dim - 1) if not h.linear.entry(i, i + 1).is_zero()]
     imag_chain = [i for i in chains if diag[i].is_purely_imaginary()]
 
-    if count == dim and all_equal and info.diagonalizable:
+    if count == dim and all_equal and not chains:
         return "poincare"
     if count == 1:
         return "one-imaginary"
@@ -294,8 +294,7 @@ def enumerate_centers(h, order=12):
     imag_idx = [i for i, v in enumerate(diag) if v.is_purely_imaginary()]
     if not imag_idx:
         return []
-    info = classify_spectrum(h.linear)
-    pattern = _pattern_label(h, diag, imag_idx, info)
+    pattern = _pattern_label(h, diag, imag_idx)
 
     if pattern == "poincare":
         return [CenterManifoldReport(

@@ -5,7 +5,8 @@ Subcommands: ``classify`` (theorem dispatch and obstructions), ``series``
 (raw Briot-Bouquet classification of a document read as x y' = f).
 
 Exit codes: 0 classified, 2 parse error, 3 uncertifiable spectrum,
-unnormalized input or an ``--order`` below the one the system needs,
+unnormalized input, an ``--order`` below the one the system needs or a
+period that needs more than ``verify.MAX_RK4_STEPS`` RK4 steps,
 4 verification failure.  ``--order`` is capped at ``MAX_ORDER``.
 """
 
@@ -21,7 +22,7 @@ from .centers import enumerate_centers
 from .errors import (BBCenterError, NotNormalized, ParseError,
                      UncertifiableSpectrum)
 from .spectra import numeric_spectrum
-from .verify import check_isochronous
+from .verify import MAX_RK4_STEPS, check_isochronous
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -70,7 +71,9 @@ def _build_parser():
 
     common(sub.add_parser("classify", help="enumerate center manifolds"))
     common(sub.add_parser("series", help="enumerate and print series coefficients"))
-    common(sub.add_parser("verify", help="enumerate and verify numerically"),
+    verify_help = ("enumerate and verify numerically (RK4 over one period, "
+                   f"at most {MAX_RK4_STEPS} steps of 1e-3)")
+    common(sub.add_parser("verify", help=verify_help, description=verify_help),
            verify=True)
     common(sub.add_parser("bb", help="classify a raw Briot-Bouquet system"))
     return parser

@@ -1,18 +1,22 @@
 """Exact spectral and Jordan classification of small matrices over Q(i).
 
 Eigenvalues are certified only when the characteristic polynomial splits over
-the Gaussian rationals: rational-root search through Gaussian-integer divisors
-handles the cubic, and the quadratic formula applies whenever the discriminant
-is a perfect square in Q(i).  Everything else is rejected as uncertifiable
+the Gaussian rationals.  One root search serves every question asked of the
+spectrum: a triangular matrix gives its diagonal; otherwise repeated roots
+are split off with an exact gcd against the derivative, and the roots of the
+squarefree rest are found modulo a small prime l = 3 (mod 4) and Hensel-lifted
+to Gaussian integers.  No integer is ever factored: the primes passed over
+divide the discriminant, so the cost grows polynomially with the bit size of
+the entries.  A polynomial that does not split is rejected as uncertifiable
 (a flagged double-precision fallback exists for reporting purposes only).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatch, UncertifiableSpectrum
 from .series import EC_ONE, EC_ZERO, ExactComplex
@@ -163,286 +167,133 @@ def solve_affine(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# exact square roots
+# exact roots of the characteristic polynomial
+#
+# Polynomials are lists of Gaussian integers (re, im) indexed by power.
 
-def rational_sqrt(q):
-    """Exact square root of a rational, or None."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def gaussian_sqrt(w):
-    """A square root of w in Q(i), or None when w is not a perfect square.
-
-    Solving (x + yi)^2 = a + bi reduces to rational square roots of the norm
-    and of (a + |w|)/2.
-    """
-    a, b = w.re, w.im
-    if b == 0:
-        s = rational_sqrt(a)
-        if s is not None:
-            return ExactComplex(s)
-        s = rational_sqrt(-a)
-        if s is not None:
-            return ExactComplex(0, s)
-        return None
-    n = rational_sqrt(a * a + b * b)
-    if n is None:
-        return None
-    x = rational_sqrt((a + n) / 2)
-    if x is None or x == 0:
-        return None
-    return ExactComplex(x, b / (2 * x))
-
-
-# ---------------------------------------------------------------------------
-# integer factorization (for Gaussian-integer divisor enumeration)
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(0xB00B1E ^ n)
-    while True:
-        x = rng.randrange(2, n)
-        y = x
-        c = rng.randrange(1, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _factorint(n):
-    factors = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def _sqrt_minus_one_mod(p):
-    # p = 1 (mod 4); a^((p-1)/4) works for any non-residue a
-    rng = random.Random(p)
-    while True:
-        a = rng.randrange(2, p)
-        if pow(a, (p - 1) // 2, p) == p - 1:
-            return pow(a, (p - 1) // 4, p)
-
-
-def _gauss_divmod(a, b):
-    """Rounded division in Z[i]: returns q with N(a - q b) < N(b)."""
-    ar, ai = a
-    br, bi = b
-    n = br * br + bi * bi
-    qr = (ar * br + ai * bi + n // 2) // n
-    qi = (ai * br - ar * bi + n // 2) // n
-    rr = ar - (qr * br - qi * bi)
-    ri = ai - (qr * bi + qi * br)
-    return (qr, qi), (rr, ri)
-
-
-def _gauss_gcd(a, b):
-    while b != (0, 0):
-        _, r = _gauss_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def _gauss_mul(a, b):
+def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _gauss_exact_div(a, b):
-    """a / b in Z[i] when exact, else None."""
-    n = b[0] * b[0] + b[1] * b[1]
-    xr = a[0] * b[0] + a[1] * b[1]
-    xi = a[1] * b[0] - a[0] * b[1]
-    if xr % n or xi % n:
-        return None
-    return (xr // n, xi // n)
+def _pseudo_divmod(p, g):
+    """Q and R with lc(g)^(deg p - deg g + 1) p = Q g + R: Euclidean
+    division over Q(i), kept in Z[i]."""
+    n = len(g) - 1
+    q, r = [], list(p)
+    for k in range(len(p) - len(g), -1, -1):
+        c = r[k + n]
+        q = [c] + [_gmul(g[-1], x) for x in q]
+        r = [_gmul(g[-1], x) for x in r]
+        for j, x in enumerate(g):
+            cx = _gmul(c, x)
+            r[k + j] = (r[k + j][0] - cx[0], r[k + j][1] - cx[1])
+    r = r[:n]
+    while r and r[-1] == (0, 0):
+        r.pop()
+    return q, r
 
 
-def _gaussian_prime_factors(z):
-    """Gaussian prime factorization of z in Z[i] (up to a unit).
+def _horner(q, a, b, m=0):
+    """q(a + bi), reduced modulo m when m is nonzero."""
+    re = im = 0
+    for cr, ci in reversed(q):
+        re, im = re * a - im * b + cr, re * b + im * a + ci
+        if m:
+            re, im = re % m, im % m
+    return re, im
 
-    Returns a list of (prime, multiplicity).
+
+def _primes_3_mod_4():
+    for p in itertools.count(3, 4):
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+
+
+def _simple_roots(p):
+    """The Q(i)-roots of a squarefree polynomial, by Hensel lifting.
+
+    With c its leading coefficient, t = c * lambda turns p into a monic q
+    over Z[i], so every Q(i)-root is a Gaussian integer whose parts are
+    below the Cauchy bound B.  Modulo a prime l = 3 (mod 4), Z[i] is the
+    field of l^2 elements; at the first such prime where every root of q is
+    simple (only divisors of the discriminant fail), the roots are found by
+    trying all l^2 residues and lifted by Newton's iteration modulo l^(2^j)
+    until the modulus exceeds 2B.  A lift that is an exact root over Z[i]
+    gives a root.
     """
-    norm = z[0] * z[0] + z[1] * z[1]
-    out = []
-    for p, _ in sorted(_factorint(norm).items()):
-        if p == 2:
-            candidates = [(1, 1)]
-        elif p % 4 == 3:
-            candidates = [(p, 0)]
-        else:
-            u = _sqrt_minus_one_mod(p)
-            pi = _gauss_gcd((p, 0), (u, 1))
-            candidates = [pi, (pi[0], -pi[1])]
-        for pi in candidates:
-            mult = 0
-            w = z
-            while True:
-                q = _gauss_exact_div(w, pi)
-                if q is None:
-                    break
-                w = q
-                mult += 1
-            if mult:
-                out.append((pi, mult))
-    return out
+    q, scale = [(1, 0)], (1, 0)
+    for c in reversed(p[:-1]):
+        q.insert(0, _gmul(c, scale))
+        scale = _gmul(scale, p[-1])
+    dq = [(k * cr, k * ci) for k, (cr, ci) in enumerate(q)][1:]
+    bound = 1 + max(abs(cr) + abs(ci) for cr, ci in q[:-1])
+    for prime in _primes_3_mod_4():
+        residues = [(a, b) for a in range(prime) for b in range(prime)
+                    if _horner(q, a, b, prime) == (0, 0)]
+        if all(_horner(dq, a, b, prime) != (0, 0) for a, b in residues):
+            break
+    roots = []
+    for a, b in residues:
+        m = prime
+        while m <= 2 * bound:
+            m *= m
+            fr, fi = _horner(q, a, b, m)
+            dr, di = _horner(dq, a, b, m)
+            inv = pow(dr * dr + di * di, -1, m)
+            # a + bi -= f / f', with 1 / (dr + di i) = (dr - di i) / (dr^2 + di^2)
+            a = (a - (fr * dr + fi * di) * inv) % m
+            b = (b - (fi * dr - fr * di) * inv) % m
+        a = a - m if 2 * a > m else a
+        b = b - m if 2 * b > m else b
+        if _horner(q, a, b) == (0, 0):
+            roots.append(ExactComplex(a, b) / ExactComplex(*p[-1]))
+    return roots
 
 
-def _gaussian_divisor_candidates(z):
-    """All divisors of z in Z[i], including unit multiples."""
-    factors = _gaussian_prime_factors(z)
-    divisors = [(1, 0)]
-    for pi, mult in factors:
-        grown = []
-        for d in divisors:
-            acc = d
-            grown.append(acc)
-            for _ in range(mult):
-                acc = _gauss_mul(acc, pi)
-                grown.append(acc)
-        divisors = grown
-    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    seen = set()
-    for d in divisors:
-        for u in units:
-            c = _gauss_mul(d, u)
-            if c not in seen:
-                seen.add(c)
-                yield c
+def _roots(p):
+    """The Q(i)-roots of p, each as often as its multiplicity.
+
+    With g = gcd(p, p') by Euclid's algorithm, p / g is squarefree with the
+    same roots, and g carries each root once less often than p.
+    """
+    if len(p) < 2:
+        return []
+    g, r = p, [(k * cr, k * ci) for k, (cr, ci) in enumerate(p)][1:]
+    while r:
+        g, r = r, _pseudo_divmod(g, r)[1]
+    if len(g) == 1:
+        return _simple_roots(p)
+    return _simple_roots(_pseudo_divmod(p, g)[0]) + _roots(g)
 
 
-# ---------------------------------------------------------------------------
-# exact roots of the characteristic polynomial
-
-def _poly_eval(coeffs, x):
-    acc = EC_ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _quadratic_roots(c0, c1):
-    """Roots of lambda^2 + c1 lambda + c0 over Q(i), or None."""
-    disc = c1 * c1 - ExactComplex(4) * c0
-    s = gaussian_sqrt(disc)
-    if s is None:
-        return None
-    half = ExactComplex(Fraction(1, 2))
-    return [(-c1 + s) * half, (-c1 - s) * half]
-
-
-def _cubic_rational_root(coeffs):
-    """One Q(i) root of a monic cubic with Q(i) coefficients, or None."""
-    den = math.lcm(*(d for c in coeffs[:3] for d in (c.re.denominator, c.im.denominator)))
-    # t = den * lambda turns the cubic monic with Gaussian-integer coefficients
-    b0 = coeffs[0] * ExactComplex(den) * ExactComplex(den) * ExactComplex(den)
-    z0 = (int(b0.re), int(b0.im))
-    if z0 == (0, 0):
-        return EC_ZERO
-    for cand in _gaussian_divisor_candidates(z0):
-        root = ExactComplex(Fraction(cand[0], den), Fraction(cand[1], den))
-        if _poly_eval(coeffs, root).is_zero():
-            return root
-    return None
+def _eigenvalue_roots(matrix):
+    """The Q(i)-roots of det(lambda I - matrix), with multiplicity; a
+    triangular matrix gives its diagonal."""
+    if matrix.is_upper_triangular() or matrix.is_lower_triangular():
+        return [matrix.entry(i, i) for i in range(matrix.dim)]
+    p = matrix.charpoly()
+    den = math.lcm(*(x.denominator for c in p for x in (c.re, c.im)))
+    return _roots([(int(c.re * den), int(c.im * den)) for c in p])
 
 
 def positive_integer_eigenvalues(matrix):
     """The positive integers k with det(k I - matrix) = 0, ascending.
 
-    Read from the matrix alone, whatever its spectrum: once denominators are
-    cleared the characteristic polynomial has Gaussian-integer coefficients,
-    so an integer root k > 0 divides the real and the imaginary part of the
-    lowest nonzero coefficient, and only those divisors are tried.
+    Read from the matrix alone, whatever its spectrum: an integer eigenvalue
+    is a Q(i)-root of the characteristic polynomial even when the others
+    are not.
     """
-    coeffs = matrix.charpoly()
-    den = math.lcm(*(d for c in coeffs for d in (c.re.denominator, c.im.denominator)))
-    low = next(c for c in coeffs if not c.is_zero())
-    divisors = [1]
-    for p, e in _factorint(math.gcd(int(low.re * den), int(low.im * den))).items():
-        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
-    return sorted(k for k in divisors if _poly_eval(coeffs, ExactComplex(k)).is_zero())
+    values = {v.as_integer() for v in _eigenvalue_roots(matrix)}
+    return sorted(k for k in values if k is not None and k > 0)
 
 
 def exact_eigenvalues(matrix):
-    """Eigenvalues of a small matrix, exactly, or raise UncertifiableSpectrum.
-
-    Triangular matrices short-circuit to their diagonal; otherwise the
-    characteristic polynomial is factored over Q(i).
-    """
-    if matrix.is_upper_triangular() or matrix.is_lower_triangular():
-        return [matrix.entry(i, i) for i in range(matrix.dim)]
-    coeffs = matrix.charpoly()
-    dim = matrix.dim
-    if dim == 1:
-        return [-coeffs[0]]
-    if dim == 2:
-        roots = _quadratic_roots(coeffs[0], coeffs[1])
-        if roots is None:
-            raise UncertifiableSpectrum(
-                "quadratic discriminant is not a perfect Gaussian-rational square")
-        return roots
-    root = _cubic_rational_root(coeffs)
-    if root is None:
+    """Eigenvalues of a small matrix, exactly, or raise UncertifiableSpectrum."""
+    values = _eigenvalue_roots(matrix)
+    if len(values) < matrix.dim:
         raise UncertifiableSpectrum(
-            "cubic characteristic polynomial has no Gaussian-rational root")
-    # synthetic division by (lambda - root)
-    c2 = coeffs[2] + root
-    c1 = coeffs[1] + root * c2
-    rest = _quadratic_roots(c1, c2)
-    if rest is None:
-        raise UncertifiableSpectrum(
-            "residual quadratic does not split over the Gaussian rationals")
-    return [root] + rest
+            "the characteristic polynomial does not split over the Gaussian rationals")
+    return values
 
 
 @dataclass(frozen=True)
@@ -468,28 +319,14 @@ def _sort_key(value):
 
 def classify_spectrum(matrix):
     """Exact eigenvalues, Jordan structure and resonance data of a small matrix."""
-    values = exact_eigenvalues(matrix)
-    distinct = []
-    for v in values:
-        for i, (u, m) in enumerate(distinct):
-            if u == v:
-                distinct[i] = (u, m + 1)
-                break
-        else:
-            distinct.append((v, 1))
-    distinct.sort(key=lambda vm: _sort_key(vm[0]))
-
+    distinct = sorted(Counter(exact_eigenvalues(matrix)).items(),
+                      key=lambda vm: _sort_key(vm[0]))
     blocks = []
     for value, mult in distinct:
-        if mult == 1:
-            blocks.append((value, 1))
-            continue
-        geo = len(solve_affine(matrix.shift(value).rows, [EC_ZERO] * matrix.dim)[1])
-        if mult == 2:
-            sizes = [1, 1] if geo == 2 else [2]
-        else:
-            sizes = {3: [1, 1, 1], 2: [2, 1], 1: [3]}[geo]
-        blocks.extend((value, s) for s in sizes)
+        # for a multiplicity of at most 3 the number of blocks fixes their sizes
+        geo = 1 if mult == 1 else len(
+            solve_affine(matrix.shift(value).rows, [EC_ZERO] * matrix.dim)[1])
+        blocks.extend((value, s) for s in [mult - geo + 1] + [1] * (geo - 1))
     assert sum(s for _, s in blocks) == matrix.dim
     return SpectrumInfo(
         eigenvalues=tuple(distinct),
@@ -530,24 +367,23 @@ NF_NOT_NORMALIZED = "not-normalized"
 def normal_form_check(linear):
     """Which supported normal form the linear part matches exactly.
 
-    Accepts a SmallMatrix or anything with a ``linear`` attribute.  Supported
-    forms are upper triangular with nonzero entries only on the superdiagonal,
-    couplings allowed only inside a Jordan chain (equal adjacent diagonal
-    entries), and at least one purely imaginary diagonal entry.
+    Supported forms are upper triangular with nonzero entries only on the
+    superdiagonal, couplings allowed only inside a Jordan chain (equal
+    adjacent diagonal entries), and at least one purely imaginary diagonal
+    entry.
     """
-    m = getattr(linear, "linear", linear)
-    n = m.dim
+    n = linear.dim
     for i in range(n):
         for j in range(n):
-            if i != j and j != i + 1 and not m.entry(i, j).is_zero():
+            if i != j and j != i + 1 and not linear.entry(i, j).is_zero():
                 return NF_NOT_NORMALIZED
     chain = []
     for i in range(n - 1):
-        coupled = not m.entry(i, i + 1).is_zero()
-        if coupled and m.entry(i, i) != m.entry(i + 1, i + 1):
+        coupled = not linear.entry(i, i + 1).is_zero()
+        if coupled and linear.entry(i, i) != linear.entry(i + 1, i + 1):
             return NF_NOT_NORMALIZED
         chain.append(coupled)
-    diag = [m.entry(i, i) for i in range(n)]
+    diag = [linear.entry(i, i) for i in range(n)]
     if not any(v.is_purely_imaginary() for v in diag):
         return NF_NOT_NORMALIZED
     if all(chain) and n == 3:

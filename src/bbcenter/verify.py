@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import IntegrationDiverged
+from .errors import BBCenterError, IntegrationDiverged
 
 if TYPE_CHECKING:
     import numpy as np
 
 DIVERGENCE_BOUND = 1e3
+MAX_RK4_STEPS = 100_000  # a period of at most 100 at the default step
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,17 @@ def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
 
     Every start must return to itself within ``tol``; the invariance residual
     on the same radius must stay below ``residual_tol``.  Divergence is
-    reported as a failed result, not an exception.
+    reported as a failed result, not an exception; a period that needs more
+    than ``MAX_RK4_STEPS`` steps raises ``BBCenterError`` before any work.
     """
     if report.multiplicity == "none":
         raise ValueError("cannot verify a non-existence verdict")
     period = report.period
+    n_steps = round(period / step)
+    if n_steps > MAX_RK4_STEPS:
+        raise BBCenterError(
+            f"period {period:.6g} needs {n_steps} RK4 steps of {step:g}; "
+            f"the cap is {MAX_RK4_STEPS}")
     field = compile_field(h)
     z0 = _manifold_starts(h, report, starts, radius)
     try:

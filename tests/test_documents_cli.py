@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import bbcenter
 from bbcenter import cli, documents
 from bbcenter.errors import ParseError
 from bbcenter.series import ExactComplex
+from bbcenter.verify import MAX_RK4_STEPS
 
 
 def mono(coeff, exponents):
@@ -292,6 +294,21 @@ def test_cli_verify_rejects_out_of_range_options(tmp_path, capsys, option, value
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and option in err
+
+
+def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):
+    # x' = (i/1000) x, y' = -y + x^2: period 2000 pi, 6.3 M steps of 1e-3
+    doc = {"variables": ["x", "y"], "equations": [
+        [mono((0, 1, 1, 1000), (1, 0))],
+        [mono(-1, (0, 1)), mono(1, (2, 0))],
+    ]}
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    assert cli.main(["verify", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"error: {path}:" in err and "6283185 RK4 steps" in err
+    assert str(MAX_RK4_STEPS) in err
 
 
 def test_cli_text_format(tmp_path, capsys):

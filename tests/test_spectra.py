@@ -1,5 +1,10 @@
+import math
+import random
+import time
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +13,9 @@ from bbcenter.errors import UncertifiableSpectrum
 from bbcenter.series import ExactComplex
 from bbcenter.spectra import (NF_DIAGONAL, NF_DIAGONAL_HYPERBOLIC,
                               NF_JORDAN_2, NF_JORDAN_3, NF_NOT_NORMALIZED,
-                              SmallMatrix, classify_spectrum, gaussian_sqrt,
+                              SmallMatrix, classify_spectrum, exact_eigenvalues,
                               normal_form_check, positive_integer_eigenvalues,
-                              rational_sqrt, solve_affine)
+                              solve_affine)
 
 
 def ec(re, im=0):
@@ -18,22 +23,6 @@ def ec(re, im=0):
 
 
 I = ec(0, 1)
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-    assert rational_sqrt(Fraction(0)) == 0
-
-
-def test_gaussian_sqrt():
-    cases = [ec(4), ec(-9), ec(0, 2), ec(3, 4), ec(Fraction(-3, 4), 1)]
-    for w in cases:
-        s = gaussian_sqrt(w)
-        assert s is not None and s * s == w
-    assert gaussian_sqrt(ec(2)) is None
-    assert gaussian_sqrt(ec(1, 1)) is None
 
 
 def test_solve_affine_unique():
@@ -162,6 +151,134 @@ def test_positive_integers_agree_with_direct_comparison():
 ])
 def test_positive_integer_eigenvalues_need_no_certified_spectrum(rows, want):
     assert positive_integer_eigenvalues(SmallMatrix(rows)) == want
+
+
+# ---------------------------------------------------------------------------
+# the root search on dense matrices
+
+def _unimodular(ops, n):
+    """P and P^-1 for a product of elementary integer row operations: row i
+    gains c times another row j, for each (i, off, c) in ops."""
+    p, p_inv = SmallMatrix.identity(n), SmallMatrix.identity(n)
+    for i, off, c in ops if n > 1 else ():
+        i, j = i % n, (i + 1 + off % (n - 1)) % n
+
+        def elementary(c):
+            return SmallMatrix([[int(r == s) + c * ((r, s) == (i, j)) for s in range(n)]
+                                for r in range(n)])
+        p, p_inv = elementary(c) * p, p_inv * elementary(-c)
+    return p, p_inv
+
+
+def _numeric_then_exact_roots(m):
+    """The eigenvalues of m found without the code under test: each numeric
+    eigenvalue is rounded to (1/d) Z[i], where d clears every entry (so d*m
+    has Gaussian-integer eigenvalues when they are Gaussian rational), and
+    kept when det(m - lambda I) vanishes exactly there."""
+    d = math.lcm(*(x.denominator for row in m.rows for v in row for x in (v.re, v.im)))
+    roots = []
+    for z in np.linalg.eigvals(np.array(m.to_complex_array(), dtype=complex)):
+        value = ec(Fraction(round(d * z.real), d), Fraction(round(d * z.imag), d))
+        if m.shift(value).det().is_zero():
+            roots.append(value)
+    return roots
+
+
+def gaussian_rationals(bound, max_den):
+    return st.builds(lambda re, im, den: ec(Fraction(re, den), Fraction(im, den)),
+                     st.integers(-bound, bound), st.integers(-bound, bound),
+                     st.integers(1, max_den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.lists(gaussian_rationals(6, 3), min_size=3, max_size=3),
+       st.sampled_from([(0, 1, 2), (0, 0, 1), (0, 1, 1), (0, 0, 0), (0, 1, 0)]),
+       st.lists(st.booleans(), min_size=2, max_size=2),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                          st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=5),
+       gaussian_rationals(6, 3).filter(lambda v: not v.is_zero()))
+def test_conjugated_spectrum_recovered_exactly(n, pool, pattern, couple, ops, bump):
+    values = [pool[k] for k in pattern[:n]]
+    coupled = [i for i in range(n - 1) if couple[i] and values[i] == values[i + 1]]
+    t = SmallMatrix([[values[i] if i == j else int(j == i + 1 and i in coupled)
+                      for j in range(n)] for i in range(n)])
+    p, p_inv = _unimodular(ops, n)
+    m = p_inv * t * p
+    assert p * p_inv == SmallMatrix.identity(n)
+
+    blocks, size = [], 1
+    for i in range(n):
+        if i in coupled:
+            size += 1
+        else:
+            blocks.append((values[i], size))
+            size = 1
+    info = classify_spectrum(m)
+    assert dict(info.eigenvalues) == Counter(values)
+    assert sorted(info.jordan_blocks, key=str) == sorted(blocks, key=str)
+    assert info.diagonalizable == (not coupled)
+    assert positive_integer_eigenvalues(m) == sorted(
+        {v.as_integer() for v in values if v.as_integer() and v.as_integer() > 0})
+
+    # one perturbed entry: the spectrum either still splits, and then comes
+    # out exactly, or no longer splits, and then is refused
+    rows = [list(row) for row in m.rows]
+    rows[n - 1][0] = rows[n - 1][0] + bump
+    bumped = SmallMatrix(rows)
+    oracle = _numeric_then_exact_roots(bumped)
+    if len(oracle) == n:
+        assert sorted(map(str, exact_eigenvalues(bumped))) == sorted(map(str, oracle))
+    else:
+        with pytest.raises(UncertifiableSpectrum):
+            classify_spectrum(bumped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(gaussian_rationals(2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_positive_integer_eigenvalues_match_determinant_scan(rows):
+    # every entry has modulus at most 2*sqrt(2) < 3, so by Gershgorin every
+    # eigenvalue has modulus below 3 * 3 < 10
+    m = SmallMatrix(rows)
+    direct = [k for k in range(1, 11)
+              if (SmallMatrix.identity(m.dim) * k - m).det().is_zero()]
+    assert positive_integer_eigenvalues(m) == direct
+
+
+def _primes_3_mod_4_product(limit):
+    out = 1
+    for q in range(3, limit, 4):
+        if all(q % d for d in range(2, q)):
+            out *= q
+    return out
+
+
+@pytest.mark.parametrize("limit", [100, 200])
+def test_root_search_cost_is_bounded_on_crafted_spectrum(limit):
+    # the gap M between two eigenvalues is divisible by every prime
+    # p = 3 (mod 4) below the limit, so the root search must pass them all
+    d = SmallMatrix.diagonal([ec(1, 2), ec(1, 2) + _primes_3_mod_4_product(limit),
+                              ec(3, -1)])
+    p = SmallMatrix([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
+    p_inv = SmallMatrix([[0, -1, 1], [1, 1, -1], [-1, 0, 1]])
+    start = time.perf_counter()
+    info = classify_spectrum(p_inv * d * p)
+    assert time.perf_counter() - start < 5.0
+    assert dict(info.eigenvalues) == {d.entry(i, i): 1 for i in range(3)}
+
+
+def test_root_search_cost_is_bounded_on_six_digit_entries():
+    # at this seed the determinant's norm, a 37-digit integer, leaves a
+    # 31-digit composite once its small primes are divided out: slow to
+    # factor, so a root search that factors it cannot pass
+    rng = random.Random(25)
+    m = SmallMatrix([[ec(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+                      for _ in range(3)] for _ in range(3)])
+    start = time.perf_counter()
+    with pytest.raises(UncertifiableSpectrum):
+        classify_spectrum(m)
+    assert positive_integer_eigenvalues(m) == []
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------
