@@ -5,9 +5,11 @@ Subcommands: ``classify`` (theorem dispatch and obstructions), ``series``
 (raw Briot-Bouquet classification of a document read as x y' = f).
 
 Exit codes: 0 classified, 2 parse error, 3 uncertifiable spectrum,
-unnormalized input, an ``--order`` below the one the system needs or a
-period that needs more than ``verify.MAX_RK4_STEPS`` RK4 steps,
-4 verification failure.  ``--order`` is capped at ``MAX_ORDER``.
+unnormalized input, an ``--order`` below the one the system needs, a
+period that needs more than ``verify.MAX_RK4_STEPS`` RK4 steps or a
+coefficient that ``verify`` cannot convert to a double, 4 verification
+failure (a diverging or non-finite run included; its errors print as null
+next to a message).  ``--order`` is capped at ``MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -110,11 +112,10 @@ def _process_system(text, args):
     variables = doc.get("variables")
     try:
         reports = enumerate_centers(h, order=args.order)
-    except (UncertifiableSpectrum, NotNormalized) as err:
-        if args.numeric_fallback:
-            return _fallback_document(h), EXIT_OK
-        print(f"error: {err}", file=sys.stderr)
-        return None, EXIT_UNCERTIFIABLE
+    except (UncertifiableSpectrum, NotNormalized):
+        if not args.numeric_fallback:
+            raise  # main reports it with the file name, exit 3
+        return _fallback_document(h), EXIT_OK
     include_series = args.command in ("series", "verify")
     verification = None
     code = EXIT_OK
@@ -163,8 +164,7 @@ def main(argv=None):
             print(f"error: {path}: {err}", file=sys.stderr)
             worst = max(worst, EXIT_UNCERTIFIABLE)
             continue
-        if document is not None:
-            print(documents.emit_report(document, args.format))
+        print(documents.emit_report(document, args.format))
         worst = max(worst, code)
     return worst
 

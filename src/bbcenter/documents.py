@@ -10,6 +10,7 @@ renderings next to their exact strings.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .briot_bouquet import BBSystem
@@ -179,6 +180,11 @@ def _float_str(value):
     return float(f"{value:.15g}")
 
 
+def _finite_or_null(value):
+    """JSON has no infinity or NaN, so a non-finite error renders as null."""
+    return _float_str(value) if math.isfinite(value) else None
+
+
 def period_string(factor):
     """Exact rendering of 2*pi*factor, e.g. '2π/3' or '3·2π/2'."""
     n, d = factor.numerator, factor.denominator
@@ -253,11 +259,13 @@ def report_document(h, reports, variables=None, include_series=False,
             v = verification.get(r.chart)
             if v is not None:
                 entry["verification"] = {
-                    "return_error": _float_str(v.return_error),
-                    "residual_error": _float_str(v.residual_error),
+                    "return_error": _finite_or_null(v.return_error),
+                    "residual_error": _finite_or_null(v.residual_error),
                     "predicted_period": _float_str(v.predicted_period),
                     "pass": v.passed,
                 }
+                if v.message:
+                    entry["verification"]["message"] = v.message
         doc["manifolds"].append(entry)
     return doc
 
@@ -333,8 +341,11 @@ def _render_text(doc):
                 f"t^{k}: {c}" for k, c in enumerate(coeffs, start=1) if c != "0"))
         if m.get("verification"):
             v = m["verification"]
-            lines.append(
-                f"    verify: return error {v['return_error']:.3e}, "
-                f"residual {v['residual_error']:.3e}, "
-                f"pass: {v['pass']}")
+            if v.get("message"):
+                lines.append(f"    verify: {v['message']}, pass: {v['pass']}")
+            else:
+                lines.append(
+                    f"    verify: return error {v['return_error']:.3e}, "
+                    f"residual {v['residual_error']:.3e}, "
+                    f"pass: {v['pass']}")
     return "\n".join(lines)

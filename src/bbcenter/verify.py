@@ -4,12 +4,17 @@ The exact layer proves that a graph is formally invariant and predicts the
 period of the isochronous family on it; this module checks both claims in
 double precision: classical fixed-step RK4 integration of the field with a
 return-to-start test after the predicted period, and evaluation of the chart
-invariance condition on a small sample grid.  numpy is imported by the
-functions that use it, so importing the package does not load it.
+invariance condition on a small sample grid.  The field is compiled once to
+gathered monomials and one coefficient matrix, so an evaluation is a few
+numpy calls.  A state that leaves the divergence bound or stops being finite
+fails the check; a coefficient beyond double range raises ``BBCenterError``.
+numpy is imported by the functions that use it, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -49,32 +54,40 @@ class VerifyResult:
 
 
 def compile_field(h):
-    """The right-hand side as a vectorized callable on (..., dim) arrays."""
+    """The right-hand side as a vectorized callable on (..., dim) arrays.
+
+    Every term, the linear ones included, is a monomial z^e; the equations
+    that share an exponent share its monomial, so the coefficients form one
+    (monomials, dim) matrix C.  A monomial of degree d is d indices into z
+    padded with a column of ones (index ``dim``), padded with that index to
+    the top degree D, so one evaluation is D gathers, D - 1 products and one
+    matrix product.
+    """
     import numpy as np
-    lam = np.array(h.linear.to_complex_array(), dtype=complex)
-    coeffs = []
-    exps = []
-    rows = []
+    dim = h.dim
+    terms = {}  # exponent -> its coefficient in each equation
+    for i, row in enumerate(h.linear.to_complex_array()):
+        for j, c in enumerate(row):
+            if c:
+                unit = tuple(int(k == j) for k in range(dim))
+                terms.setdefault(unit, [0j] * dim)[i] += c
     for i, s in enumerate(h.nonlinear):
         for e, c in s.terms.items():
-            coeffs.append(c.to_complex())
-            exps.append(e)
-            rows.append(i)
-    if coeffs:
-        coeffs = np.array(coeffs)
-        exps = np.array(exps)
-        scatter = np.zeros((len(rows), h.dim))
-        for t, i in enumerate(rows):
-            scatter[t, i] = 1.0
-    else:
-        coeffs = exps = scatter = None
+            terms.setdefault(e, [0j] * dim)[i] += c.to_complex()
+    factors = np.full((max(map(sum, terms), default=1), len(terms)), dim)
+    for m, e in enumerate(terms):
+        index = [j for j, k in enumerate(e) for _ in range(k)]
+        factors[:len(index), m] = index
+    coeffs = np.array(list(terms.values()), dtype=complex).reshape(len(terms), dim)
 
     def field(z):
-        out = z @ lam.T
-        if coeffs is not None:
-            monomials = np.prod(z[..., None, :] ** exps, axis=-1)
-            out = out + (monomials * coeffs) @ scatter
-        return out
+        padded = np.empty(z.shape[:-1] + (dim + 1,), dtype=complex)
+        padded[..., :dim] = z
+        padded[..., dim] = 1.0
+        monomials = padded.take(factors[0], axis=-1)
+        for f in factors[1:]:
+            monomials *= padded.take(f, axis=-1)
+        return monomials @ coeffs
 
     return field
 
@@ -89,9 +102,10 @@ def _rk4_batch(field, states, t_final, step, record=None):
         k3 = field(z + 0.5 * h * k2)
         k4 = field(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if abs(z).max() > DIVERGENCE_BOUND:
+        if not (abs(z).max() <= DIVERGENCE_BOUND):  # a NaN state fails too
             raise IntegrationDiverged(
-                f"state norm exceeded {DIVERGENCE_BOUND} at t = {(k + 1) * h:.6g}")
+                f"state norm exceeded {DIVERGENCE_BOUND} or is not finite "
+                f"at t = {(k + 1) * h:.6g}")
         if record is not None:
             record.append(((k + 1) * h, z.copy()))
     return z
@@ -142,10 +156,13 @@ def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
     """Integrate sampled manifold points for one predicted period each.
 
     Every start must return to itself within ``tol``; the invariance residual
-    on the same radius must stay below ``residual_tol``.  Divergence is
-    reported as a failed result, not an exception; a period that needs more
-    than ``MAX_RK4_STEPS`` steps raises ``BBCenterError`` before any work.
+    on the same radius must stay below ``residual_tol``.  Divergence, a
+    non-finite state included, is reported as a failed result with infinite
+    errors and a message, not as an exception.  ``BBCenterError`` is raised
+    for a period that needs more than ``MAX_RK4_STEPS`` steps, before any
+    work, and for a coefficient or value beyond double range.
     """
+    import numpy as np
     if report.multiplicity == "none":
         raise ValueError("cannot verify a non-existence verdict")
     period = report.period
@@ -154,17 +171,24 @@ def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
         raise BBCenterError(
             f"period {period:.6g} needs {n_steps} RK4 steps of {step:g}; "
             f"the cap is {MAX_RK4_STEPS}")
-    field = compile_field(h)
-    z0 = _manifold_starts(h, report, starts, radius)
     try:
-        z1 = _rk4_batch(field, z0, period, step)
+        # overflow and NaN are handled below, so numpy need not warn of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            field = compile_field(h)
+            z0 = _manifold_starts(h, report, starts, radius)
+            z1 = _rk4_batch(field, z0, period, step)
+            return_error = float(abs(z1 - z0).max())
+            residual_error = check_residual_numeric(
+                h, report, grid=max(starts, 8), radius=radius)
     except IntegrationDiverged as err:
-        return VerifyResult(float("inf"), float("inf"), period, False, str(err))
-    return_error = float(abs(z1 - z0).max())
-    residual_error = check_residual_numeric(h, report, grid=max(starts, 8),
-                                            radius=radius)
+        return VerifyResult(math.inf, math.inf, period, False, str(err))
+    except OverflowError as err:
+        raise BBCenterError(
+            f"a coefficient or value is beyond double range ({err})") from None
+    message = ("" if math.isfinite(residual_error)
+               else "the invariance residual is not finite")
     passed = return_error <= tol and residual_error <= residual_tol
-    return VerifyResult(return_error, residual_error, period, passed)
+    return VerifyResult(return_error, residual_error, period, passed, message)
 
 
 def check_residual_numeric(h, report, grid=16, radius=1e-2):
@@ -192,5 +216,5 @@ def check_residual_numeric(h, report, grid=16, radius=1e-2):
         den = rhs[m]
         for k, dg in derivs.items():
             value = abs(den * dg.eval_numeric([t]) - rhs[k])
-            worst = max(worst, float(value))
-    return worst
+            worst = np.maximum(worst, value)  # unlike max(), keeps a NaN
+    return float(worst)

@@ -165,7 +165,16 @@ def test_cli_uncertifiable_exit_three(tmp_path, capsys):
     path = write_doc(tmp_path, doc)
     code = cli.main(["classify", path])
     assert code == 3
-    assert "error" in capsys.readouterr().err
+    assert f"error: {path}:" in capsys.readouterr().err
+    # two such files: each error line names its own file
+    other = write_doc(tmp_path, doc, name="other.json")
+    assert cli.main(["classify", path, other]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"error: {path}:")
+    assert lines[1].startswith(f"error: {other}:")
 
 
 def test_cli_numeric_fallback(tmp_path, capsys):
@@ -309,6 +318,46 @@ def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {path}:" in err and "6283185 RK4 steps" in err
     assert str(MAX_RK4_STEPS) in err
+
+
+def huge_coefficient_doc(power):
+    """x' = ix + 10^power y^2, y' = -y + x^2: the y graph carries 10^power."""
+    return {"variables": ["x", "y"], "equations": [
+        [mono(i_times(), (1, 0)), mono(10 ** power, (0, 2))],
+        [mono(-1, (0, 1)), mono(1, (2, 0))],
+    ]}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("power", [10, 300])
+def test_cli_verify_divergence_prints_strict_json(tmp_path, capsys, power):
+    # 10^10 overflows the divergence bound; 10^300 drives the state to NaN,
+    # which compares false with the bound and used to slip past it
+    path = write_doc(tmp_path, huge_coefficient_doc(power))
+    assert cli.main(["verify", path, "--order", "6"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out, parse_constant=_reject_constant)
+    (block,) = [m["verification"] for m in out["manifolds"] if "verification" in m]
+    assert block["return_error"] is None and block["residual_error"] is None
+    assert block["pass"] is False
+    assert "not finite" in block["message"]
+    assert cli.main(["verify", path, "--order", "6", "--format", "text"]) == 4
+    assert f"verify: {block['message']}, pass: False" in capsys.readouterr().out
+
+
+def test_cli_verify_coefficient_beyond_double_range(tmp_path, capsys):
+    path = write_doc(tmp_path, huge_coefficient_doc(400))
+    assert cli.main(["classify", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--order", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:")
+    assert "beyond double range" in captured.err
 
 
 def test_cli_text_format(tmp_path, capsys):

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbcenter.centers import HoloSystem, enumerate_centers
 from bbcenter.errors import IntegrationDiverged
 from bbcenter.series import ExactComplex, MultiSeries
 from bbcenter.spectra import SmallMatrix
-from bbcenter.verify import (check_isochronous, check_residual_numeric,
-                             compile_field, integrate)
+from bbcenter.verify import (_rk4_batch, check_isochronous,
+                             check_residual_numeric, compile_field, integrate)
 
 
 def ec(re, im=0):
@@ -44,6 +46,13 @@ def test_divergence_guard():
     h = HoloSystem(SmallMatrix([[ec(5)]]), [MultiSeries.zero(1, 4)])
     with pytest.raises(IntegrationDiverged):
         integrate(h, [1.0], 10.0, 1e-2)
+
+
+def test_divergence_guard_catches_nan():
+    # NaN compares false with the bound, so the guard must not read "> bound"
+    with pytest.raises(IntegrationDiverged, match="not finite"):
+        _rk4_batch(lambda z: z * math.nan, np.ones((2, 1), dtype=complex),
+                   1.0, 0.1)
 
 
 def test_rk4_order_on_rotation():
@@ -136,6 +145,19 @@ def test_shorter_truncation_has_larger_residual():
     assert r_short > r_long * 10
 
 
+def test_residual_keeps_nan():
+    # x' = ix + 10^300 y^2, y' = -y + x^2: the graph is finite at |t| = 1e-2
+    # but the field there overflows, so the defects are NaN; max() dropped
+    # them and reported 0.0
+    h = HoloSystem(SmallMatrix.diagonal([I, ec(-1)]),
+                   [MultiSeries(2, 6, {(0, 2): ec(10 ** 300)}),
+                    MultiSeries(2, 6, {(2, 0): ec(1)})])
+    (report,) = [r for r in enumerate_centers(h, order=6)
+                 if r.multiplicity != "none"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(check_residual_numeric(h, report, grid=8, radius=1e-2))
+
+
 def test_poincare_center_verifies():
     h = HoloSystem(
         SmallMatrix.diagonal([I, I, I]),
@@ -146,3 +168,94 @@ def test_poincare_center_verifies():
     result = check_isochronous(h, report, starts=6, radius=1e-2,
                                step=1e-3, tol=1e-6)
     assert result.passed
+
+
+# compile_field against an independent evaluator: plain Python complex,
+# term by term from the exact data
+
+def _plain(c):
+    return complex(float(c.re), float(c.im))
+
+
+def reference_field(h, point):
+    """F(point) per row, and the sum of the absolute values of its terms."""
+    values, scales = [], []
+    for i in range(h.dim):
+        terms = [_plain(h.linear.rows[i][j]) * point[j] for j in range(h.dim)]
+        for exps, c in h.nonlinear[i].terms.items():
+            term = _plain(c)
+            for zj, k in zip(point, exps):
+                term *= zj ** k
+            terms.append(term)
+        values.append(sum(terms))
+        scales.append(sum(abs(t) for t in terms))
+    return values, scales
+
+
+small_coefficients = st.builds(
+    lambda re, im, den: ec(Fraction(re, den), Fraction(im, den)),
+    st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def fields_and_inputs(draw):
+    """A field of dimension 1-3 (zero, diagonal, Jordan or dense linear part;
+    monomials of degree 2-4 drawn from a small pool, so rows share them) and
+    an input of shape (dim,), (1, dim) or (k, dim)."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["zero", "diagonal", "jordan", "dense"]))
+    entry = small_coefficients
+    if kind == "dense":
+        rows = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+    else:
+        if kind == "zero":
+            diagonal = [ec(0)] * dim
+        elif kind == "jordan":
+            diagonal = [draw(entry)] * dim
+        else:
+            diagonal = [draw(entry) for _ in range(dim)]
+        rows = [[diagonal[i] if i == j else ec(0) for j in range(dim)]
+                for i in range(dim)]
+        if kind == "jordan":
+            for i in range(dim - 1):
+                rows[i][i + 1] = ec(1)
+    exponent = st.lists(st.integers(0, 4), min_size=dim, max_size=dim).filter(
+        lambda e: 2 <= sum(e) <= 4)
+    pool = draw(st.lists(exponent, max_size=4, unique_by=tuple))
+    nonlinear = []
+    for _ in range(dim):
+        chosen = draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+        nonlinear.append(MultiSeries(dim, 4, {tuple(e): draw(entry) for e in chosen}))
+    values = st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                allow_infinity=False)
+    k = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from([(dim,), (1, dim), (k, dim)]))
+    points = [[draw(values) for _ in range(dim)] for _ in range(int(np.prod(shape[:-1])))]
+    return HoloSystem(SmallMatrix(rows), nonlinear), shape, points
+
+
+ZERO_2D = HoloSystem(SmallMatrix.diagonal([ec(0), ec(0)]), [MultiSeries.zero(2, 4)] * 2)
+LINEAR_3D = HoloSystem(SmallMatrix([[I, ec(1), ec(0)], [ec(0), I, ec(2, 1)],
+                                    [ec(1, -1), ec(0), ec(-1)]]),
+                       [MultiSeries.zero(3, 4)] * 3)
+# x' = -x + 3xy + iy^3, y' = 2y + xy/2 + x^4: xy appears in both equations
+SHARED_2D = HoloSystem(SmallMatrix.diagonal([ec(-1), ec(2)]),
+                       [MultiSeries(2, 4, {(1, 1): ec(3), (0, 3): I}),
+                        MultiSeries(2, 4, {(1, 1): ec(Fraction(1, 2)), (4, 0): ec(1)})])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_inputs())
+@example((ZERO_2D, (2,), [[1 + 2j, -0.5j]]))
+@example((ZERO_2D, (3, 2), [[1, 2], [0.5j, 1 - 1j], [0, 0]]))
+@example((LINEAR_3D, (1, 3), [[0.3, -1j, 1.5 + 0.25j]]))
+@example((SHARED_2D, (4, 2), [[0.5, 1], [-1.5j, 0.25], [1 + 1j, -1], [0, 0]]))
+def test_compile_field_matches_plain_complex_evaluation(case):
+    h, shape, points = case
+    z = np.array(points, dtype=complex).reshape(shape)
+    got = compile_field(h)(z)
+    assert got.shape == shape
+    for point, row in zip(points, got.reshape(-1, h.dim)):
+        want, scale = reference_field(h, point)
+        for w, g, s in zip(want, row, scale):
+            assert abs(g - w) <= 1e-12 * s, (g, w, s)
