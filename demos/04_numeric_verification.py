@@ -27,8 +27,8 @@ rotation = HoloSystem(SmallMatrix([[I]]), [MultiSeries.zero(1, 4)])
 step = 0.2
 previous = None
 for _ in range(7):
-    traj = integrate(rotation, [1.0], 2 * math.pi, step)
-    err = abs(traj.states[-1][0] - 1.0)
+    end = integrate(rotation, [1.0], 2 * math.pi, step)
+    err = abs(end[0] - 1.0)
     ratio = f"  (x{previous / err:5.1f} smaller)" if previous and err > 0 else ""
     print(f"  step {step:9.6f}: return error {err:.3e}{ratio}")
     previous = err

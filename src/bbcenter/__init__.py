@@ -18,15 +18,15 @@ from .documents import (bb_report_document, emit_report, emit_system_document,
 from .series import EC_I, EC_ONE, EC_ZERO, ExactComplex, MultiSeries
 from .spectra import (SmallMatrix, SpectrumInfo, classify_spectrum,
                       normal_form_check, solve_affine)
-from .verify import (Trajectory, VerifyResult, check_isochronous,
-                     check_residual_numeric, compile_field, integrate)
+from .verify import (VerifyResult, check_isochronous, check_residual_numeric,
+                     compile_field, integrate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BBClassification", "BBSystem", "CenterManifoldReport", "ChartReduction",
     "ExactComplex", "FormalSolution", "HoloSystem", "MultiSeries",
-    "SmallMatrix", "SpectrumInfo", "Trajectory", "VerifyResult",
+    "SmallMatrix", "SpectrumInfo", "VerifyResult",
     "EC_I", "EC_ONE", "EC_ZERO",
     "KIND_FAMILY", "KIND_NO_SOLUTION", "KIND_UNIQUE",
     "bb_report_document", "chart_reduce", "check_isochronous",

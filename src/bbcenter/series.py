@@ -146,10 +146,6 @@ EC_ONE = ExactComplex(1)
 EC_I = ExactComplex(0, 1)
 
 
-def _coeff(value):
-    return value if isinstance(value, ExactComplex) else ExactComplex(_rat(value))
-
-
 class MultiSeries:
     """A formal power series in ``nvars`` variables, truncated at total degree
     ``order``.
@@ -175,7 +171,7 @@ class MultiSeries:
         self.order = order
         clean = {}
         for exps, coeff in (terms or {}).items():
-            coeff = _coeff(coeff)
+            coeff = ExactComplex.coerce(coeff)
             if coeff.is_zero():
                 continue
             exps = tuple(exps)
@@ -196,7 +192,7 @@ class MultiSeries:
 
     @classmethod
     def constant(cls, nvars, order, value):
-        return cls(nvars, order, {(0,) * nvars: _coeff(value)})
+        return cls(nvars, order, {(0,) * nvars: ExactComplex.coerce(value)})
 
     @classmethod
     def variable(cls, nvars, order, j):
@@ -207,7 +203,7 @@ class MultiSeries:
 
     @classmethod
     def monomial(cls, nvars, order, exps, coeff):
-        return cls(nvars, order, {tuple(exps): _coeff(coeff)})
+        return cls(nvars, order, {tuple(exps): ExactComplex.coerce(coeff)})
 
     # ---- ring operations ----------------------------------------------
 
@@ -244,7 +240,7 @@ class MultiSeries:
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
-            scalar = _coeff(other)
+            scalar = ExactComplex.coerce(other)
             if scalar.is_zero():
                 return MultiSeries.zero(self.nvars, self.order)
             return MultiSeries(self.nvars, self.order,
@@ -319,7 +315,7 @@ class MultiSeries:
         """
         if j == 0 or not 0 < j < self.nvars:
             raise IndexError(f"shear variable must satisfy 1 <= j < nvars, got {j}")
-        shift = _coeff(shift)
+        shift = ExactComplex.coerce(shift)
         out = {}
         powers = [EC_ONE]
 
@@ -446,14 +442,20 @@ class MultiSeries:
     # ---- numeric bridge -------------------------------------------------
 
     def eval_numeric(self, point):
-        """Evaluate the truncated polynomial in double precision, Horner-style
-        variable by variable."""
-        pts = [complex(p) for p in point]
+        """Evaluate the truncated polynomial in double precision, term by
+        term, at numbers or elementwise at numpy arrays of one shape."""
+        pts = [p + 0j for p in point]
         if len(pts) != self.nvars:
             raise DimensionMismatch(
                 f"point has {len(pts)} coordinates, series has {self.nvars}")
-        items = [(exps, c.to_complex()) for exps, c in self.terms.items()]
-        return _horner(items, pts, 0)
+        total = 0j
+        for exps, c in self.terms.items():
+            term = c.to_complex()
+            for p, e in zip(pts, exps):
+                if e:
+                    term = term * p ** e
+            total = total + term
+        return total
 
     # ---- presentation -----------------------------------------------------
 
@@ -494,26 +496,3 @@ class MultiSeries:
     def __repr__(self):
         return f"<MultiSeries nvars={self.nvars} order={self.order} {self.pretty()}>"
 
-
-def _horner(items, pts, var):
-    if var == len(pts):
-        total = 0j
-        for _, c in items:
-            total += c
-        return total
-    grouped = {}
-    for exps, c in items:
-        grouped.setdefault(exps[var], []).append((exps, c))
-    z = pts[var]
-    acc = 0j
-    prev = None
-    for e in sorted(grouped, reverse=True):
-        val = _horner(grouped[e], pts, var + 1)
-        if prev is None:
-            acc = val
-        else:
-            acc = acc * z ** (prev - e) + val
-        prev = e
-    if prev is None:
-        return 0j
-    return acc * z ** prev

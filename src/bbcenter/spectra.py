@@ -373,40 +373,18 @@ def normal_form_check(linear):
     entry.
     """
     n = linear.dim
-    for i in range(n):
-        for j in range(n):
-            if i != j and j != i + 1 and not linear.entry(i, j).is_zero():
-                return NF_NOT_NORMALIZED
-    chain = []
-    for i in range(n - 1):
-        coupled = not linear.entry(i, i + 1).is_zero()
-        if coupled and linear.entry(i, i) != linear.entry(i + 1, i + 1):
-            return NF_NOT_NORMALIZED
-        chain.append(coupled)
-    diag = [linear.entry(i, i) for i in range(n)]
-    if not any(v.is_purely_imaginary() for v in diag):
+    if any(j not in (i, i + 1) and not linear.entry(i, j).is_zero()
+           for i in range(n) for j in range(n)):
         return NF_NOT_NORMALIZED
-    if all(chain) and n == 3:
-        return NF_JORDAN_3 if diag[0].is_purely_imaginary() else NF_NOT_NORMALIZED
-    runs = []
-    start = 0
-    for i, coupled in enumerate(chain):
-        if not coupled:
-            runs.append((start, i))
-            start = i + 1
-    runs.append((start, n - 1))
-    jordan_imag = False
-    jordan_other = False
-    for a, b in runs:
-        if b > a:
-            if diag[a].is_purely_imaginary():
-                jordan_imag = True
-            else:
-                jordan_other = True
-    if jordan_imag:
+    diag = [linear.entry(i, i) for i in range(n)]
+    imag = [v.is_purely_imaginary() for v in diag]
+    couplings = [i for i in range(n - 1) if not linear.entry(i, i + 1).is_zero()]
+    if any(diag[i] != diag[i + 1] for i in couplings) or not any(imag):
+        return NF_NOT_NORMALIZED
+    if len(couplings) == 2:
+        return NF_JORDAN_3 if imag[0] else NF_NOT_NORMALIZED
+    if any(imag[i] for i in couplings):
         return NF_JORDAN_2
-    if jordan_other:
+    if couplings or not all(imag):
         return NF_DIAGONAL_HYPERBOLIC
-    if all(v.is_purely_imaginary() for v in diag):
-        return NF_DIAGONAL
-    return NF_DIAGONAL_HYPERBOLIC
+    return NF_DIAGONAL

@@ -2,39 +2,24 @@
 
 The exact layer proves that a graph is formally invariant and predicts the
 period of the isochronous family on it; this module checks both claims in
-double precision: classical fixed-step RK4 integration of the field with a
-return-to-start test after the predicted period, and evaluation of the chart
-invariance condition on a small sample grid.  The field is compiled once to
-gathered monomials and one coefficient matrix, so an evaluation is a few
-numpy calls.  A state that leaves the divergence bound or stops being finite
-fails the check; a coefficient beyond double range raises ``BBCenterError``.
-numpy is imported by the functions that use it, so importing the package
-does not load it.
+double precision.  One sampler gives the truncated graph z(t) and its slope
+dz/dt as arrays on the circle |t| = radius: the points start a fixed-step
+RK4 integration that must return to them after the predicted period, and
+with the slopes they give the invariance residual in one field call.  The
+field is compiled to gathered monomials and one coefficient matrix.  A graph
+that cannot be sampled inside the radius, or a state that leaves the
+divergence bound or stops being finite, fails the check; a coefficient
+beyond double range raises ``BBCenterError``.  numpy is imported by the
+functions that use it, so importing the package does not load it.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import BBCenterError, IntegrationDiverged
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DIVERGENCE_BOUND = 1e3
 MAX_RK4_STEPS = 100_000  # a period of at most 100 at the default step
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Fixed-step integration record: times[k] and states[k] line up."""
-
-    times: np.ndarray
-    states: np.ndarray
-    step: float
-    method: str = "rk4"
 
 
 @dataclass(frozen=True)
@@ -92,7 +77,7 @@ def compile_field(h):
     return field
 
 
-def _rk4_batch(field, states, t_final, step, record=None):
+def _rk4_batch(field, states, t_final, step):
     n_steps = max(1, round(t_final / step))
     h = t_final / n_steps
     z = states
@@ -106,27 +91,34 @@ def _rk4_batch(field, states, t_final, step, record=None):
             raise IntegrationDiverged(
                 f"state norm exceeded {DIVERGENCE_BOUND} or is not finite "
                 f"at t = {(k + 1) * h:.6g}")
-        if record is not None:
-            record.append(((k + 1) * h, z.copy()))
     return z
 
 
 def integrate(h, z0, t_final, step):
-    """Classical RK4 over the complex field; local truncation O(step^5)."""
+    """z(t_final) by classical RK4 over the complex field from z(0) = z0;
+    local truncation O(step^5)."""
     import numpy as np
     if step <= 0 or t_final <= 0:
         raise ValueError("step and final time must be positive")
-    field = compile_field(h)
     z = np.asarray(z0, dtype=complex).reshape(1, -1)
-    record = [(0.0, z.copy())]
-    _rk4_batch(field, z, t_final, step, record)
-    times = np.array([t for t, _ in record])
-    states = np.vstack([s for _, s in record])
-    return Trajectory(times=times, states=states, step=t_final / max(1, round(t_final / step)))
+    return _rk4_batch(compile_field(h), z, t_final, step)[0]
+
+
+def _sample_graph(report, dim, t):
+    """The graph z(t) and its slope dz/dt at the chart values t, (len(t), dim)."""
+    import numpy as np
+    z = np.zeros((len(t), dim), dtype=complex)
+    dz = np.zeros_like(z)
+    z[:, report.chart], dz[:, report.chart] = t, 1.0
+    for k, g in report.graphs.items():
+        z[:, k] = g.eval_numeric([t])
+        dz[:, k] = g.derivative(0).eval_numeric([t])
+    return z, dz
 
 
 def _manifold_starts(h, report, starts, radius):
-    """Points on the truncated graph within the sampling radius."""
+    """Points on the truncated graph within the sampling radius, or None when
+    the graph stays outside it down to |t| < 1e-12."""
     import numpy as np
     dim = h.dim
     if report.chart is None:
@@ -135,20 +127,15 @@ def _manifold_starts(h, report, starts, radius):
         raw = rng.normal(size=(starts, dim)) + 1j * rng.normal(size=(starts, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         return radius * raw
-    graphs = report.graphs
-    points = np.zeros((starts, dim), dtype=complex)
-    for s in range(starts):
-        t = radius * np.exp(2j * np.pi * s / starts)
-        while True:
-            z = np.zeros(dim, dtype=complex)
-            z[report.chart] = t
-            for k, g in graphs.items():
-                z[k] = g.eval_numeric([t])
-            if np.linalg.norm(z) <= radius or abs(t) < 1e-12:
-                break
-            t *= 0.5  # truncated graph bulged outside the radius; move inward
-        points[s] = z
-    return points
+    t = radius * np.exp(2j * np.pi * np.arange(starts) / starts)
+    while True:
+        z, _ = _sample_graph(report, dim, t)
+        outside = ~(np.linalg.norm(z, axis=1) <= radius)  # a NaN is outside
+        if not outside.any():
+            return z
+        if (abs(t[outside]) < 1e-12).any():
+            return None
+        t[outside] *= 0.5  # the truncated graph bulged out; move inward
 
 
 def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
@@ -156,11 +143,12 @@ def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
     """Integrate sampled manifold points for one predicted period each.
 
     Every start must return to itself within ``tol``; the invariance residual
-    on the same radius must stay below ``residual_tol``.  Divergence, a
-    non-finite state included, is reported as a failed result with infinite
-    errors and a message, not as an exception.  ``BBCenterError`` is raised
-    for a period that needs more than ``MAX_RK4_STEPS`` steps, before any
-    work, and for a coefficient or value beyond double range.
+    on the same radius must stay below ``residual_tol``.  A graph that cannot
+    be sampled inside the radius and divergence, a non-finite state included,
+    are reported as a failed result with infinite errors and a message, not
+    as an exception.  ``BBCenterError`` is raised for a period that needs
+    more than ``MAX_RK4_STEPS`` steps, before any work, and for a
+    coefficient or value beyond double range.
     """
     import numpy as np
     if report.multiplicity == "none":
@@ -176,6 +164,11 @@ def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
         with np.errstate(over="ignore", invalid="ignore"):
             field = compile_field(h)
             z0 = _manifold_starts(h, report, starts, radius)
+            if z0 is None:
+                return VerifyResult(
+                    math.inf, math.inf, period, False,
+                    "the truncated graph cannot be sampled inside radius "
+                    f"{radius:g}")
             z1 = _rk4_batch(field, z0, period, step)
             return_error = float(abs(z1 - z0).max())
             residual_error = check_residual_numeric(
@@ -201,20 +194,8 @@ def check_residual_numeric(h, report, grid=16, radius=1e-2):
     import numpy as np
     if report.chart is None:
         return 0.0
-    field = compile_field(h)
-    m = report.chart
-    graphs = report.graphs
-    derivs = {k: g.derivative(0) for k, g in graphs.items()}
-    worst = 0.0
-    for s in range(grid):
-        t = radius * np.exp(2j * np.pi * s / grid)
-        z = np.zeros(h.dim, dtype=complex)
-        z[m] = t
-        for k, g in graphs.items():
-            z[k] = g.eval_numeric([t])
-        rhs = field(z.reshape(1, -1))[0]
-        den = rhs[m]
-        for k, dg in derivs.items():
-            value = abs(den * dg.eval_numeric([t]) - rhs[k])
-            worst = np.maximum(worst, value)  # unlike max(), keeps a NaN
-    return float(worst)
+    t = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
+    z, dz = _sample_graph(report, h.dim, t)
+    rhs = compile_field(h)(z)
+    # the chart column is rhs - rhs = 0; max() of an array keeps a NaN
+    return float(abs(rhs[:, [report.chart]] * dz - rhs).max())

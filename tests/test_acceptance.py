@@ -365,8 +365,8 @@ def test_criterion_8_rk4_convergence():
         step = 0.2
         errors = []
         for _ in range(10):
-            traj = integrate(h, [1.0], 2 * math.pi, step)
-            errors.append(abs(traj.states[-1][0] - 1.0))
+            end = integrate(h, [1.0], 2 * math.pi, step)
+            errors.append(abs(end[0] - 1.0))
             step /= 2
         checked = 0
         for e0, e1 in zip(errors, errors[1:]):

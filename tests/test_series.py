@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,14 +217,23 @@ def test_divide_after_multiply_roundtrip(s):
 @given(multiseries(nvars=2, order=6), st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=3),
        st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=3))
 def test_eval_matches_exact_evaluation(s, p0, p1):
+    def exact_at(a, b):
+        exact = ExactComplex(0)
+        for exps, coeff in s.terms.items():
+            exact = exact + coeff * ExactComplex(a ** exps[0] * b ** exps[1])
+        return exact.to_complex()
+
     # exact evaluation at a rational point
-    exact = ExactComplex(0)
-    for exps, coeff in s.terms.items():
-        val = ExactComplex(p0 ** exps[0] * p1 ** exps[1])
-        exact = exact + coeff * val
     approx = s.eval_numeric([float(p0), float(p1)])
-    reference = exact.to_complex()
+    reference = exact_at(p0, p1)
     assert abs(approx - reference) <= 1e-12 * max(1.0, abs(reference))
+    # the same point and two of its images as numpy arrays, elementwise
+    points = [(p0, p1), (p1, p0), (-p0, p1)]
+    arrays = [np.array([float(p[j]) for p in points]) for j in (0, 1)]
+    values = s.eval_numeric(arrays)
+    for (a, b), value in zip(points, np.broadcast_to(values, (3,))):
+        reference = exact_at(a, b)
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def test_substitute_chart_style():

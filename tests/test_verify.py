@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -26,20 +28,20 @@ def rotation_1d():
 
 
 def test_quarter_turn():
-    traj = integrate(rotation_1d(), [1.0], math.pi / 2, 1e-3)
-    assert abs(traj.states[-1][0] - 1j) < 1e-9
+    end = integrate(rotation_1d(), [1.0], math.pi / 2, 1e-3)
+    assert abs(end[0] - 1j) < 1e-9
 
 
 def test_full_turn_returns():
-    traj = integrate(rotation_1d(), [0.1], 2 * math.pi, 1e-3)
-    assert abs(traj.states[-1][0] - 0.1) < 1e-9
+    end = integrate(rotation_1d(), [0.1], 2 * math.pi, 1e-3)
+    assert abs(end[0] - 0.1) < 1e-9
 
 
 def test_zero_field_constant():
     h = HoloSystem(SmallMatrix.diagonal([ec(0), ec(0)]),
                    [MultiSeries.zero(2, 4)] * 2)
-    traj = integrate(h, [0.3, -0.2j], 1.0, 1e-2)
-    assert np.allclose(traj.states[0], traj.states[-1])
+    end = integrate(h, [0.3, -0.2j], 1.0, 1e-2)
+    assert np.allclose(end, [0.3, -0.2j])
 
 
 def test_divergence_guard():
@@ -60,8 +62,8 @@ def test_rk4_order_on_rotation():
     errors = []
     step = 0.2
     for _ in range(6):
-        traj = integrate(h, [1.0], 2 * math.pi, step)
-        errors.append(abs(traj.states[-1][0] - 1.0))
+        end = integrate(h, [1.0], 2 * math.pi, step)
+        errors.append(abs(end[0] - 1.0))
         step /= 2
     for e0, e1 in zip(errors, errors[1:]):
         if e1 < 1e-12:
@@ -73,10 +75,8 @@ def test_period_scaling_consistency():
     # integrating c*F for period T/c reproduces the return error of F over T
     base = rotation_1d()
     scaled = HoloSystem(SmallMatrix([[ec(0, 3)]]), [MultiSeries.zero(1, 4)])
-    t1 = integrate(base, [0.5], 2 * math.pi, 1e-3)
-    t2 = integrate(scaled, [0.5], 2 * math.pi / 3, 1e-3 / 3)
-    e1 = abs(t1.states[-1][0] - 0.5)
-    e2 = abs(t2.states[-1][0] - 0.5)
+    e1 = abs(integrate(base, [0.5], 2 * math.pi, 1e-3)[0] - 0.5)
+    e2 = abs(integrate(scaled, [0.5], 2 * math.pi / 3, 1e-3 / 3)[0] - 0.5)
     assert abs(e1 - e2) < 1e-10
 
 
@@ -259,3 +259,51 @@ def test_compile_field_matches_plain_complex_evaluation(case):
         want, scale = reference_field(h, point)
         for w, g, s in zip(want, row, scale):
             assert abs(g - w) <= 1e-12 * s, (g, w, s)
+
+
+# check_residual_numeric against a per-point reference in plain Python
+# complex: the graph and its slope from the exact coefficients, the field
+# from reference_field
+
+def reference_residual(h, report, grid, radius):
+    m = report.chart
+    worst = 0.0
+    for s in range(grid):
+        t = radius * cmath.exp(2j * math.pi * s / grid)
+        z, dz = [0j] * h.dim, [0j] * h.dim
+        z[m], dz[m] = t, 1
+        for k, g in report.graphs.items():
+            for (e,), c in g.terms.items():
+                z[k] += _plain(c) * t ** e
+                dz[k] += _plain(c) * e * t ** (e - 1)
+        rhs, _ = reference_field(h, z)
+        worst = max(worst, *(abs(rhs[m] * dz[k] - rhs[k]) for k in report.graphs))
+    return worst
+
+
+# x' = ix + y^2/4, y' = 2iy + xz/8, z' = z - x^2/4 and its 2-D section
+DEMO_3D = HoloSystem(SmallMatrix.diagonal([I, ec(0, 2), ec(1)]),
+                     [MultiSeries(3, 8, {(0, 2, 0): ec(Fraction(1, 4))}),
+                      MultiSeries(3, 8, {(1, 0, 1): ec(Fraction(1, 8))}),
+                      MultiSeries(3, 8, {(2, 0, 0): ec(Fraction(-1, 4))})])
+JORDAN_2D = HoloSystem(SmallMatrix([[I, ec(1)], [ec(0), I]]),
+                       [MultiSeries(2, 8, {(0, 2): ec(1)}),
+                        MultiSeries(2, 8, {(2, 0): ec(Fraction(1, 2), 1)})])
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.1])
+@pytest.mark.parametrize("keep", [1, 2])
+@pytest.mark.parametrize("h", [DEMO_3D, JORDAN_2D], ids=["demo-3d", "jordan-2d"])
+def test_residual_matches_plain_complex_reference(h, keep, radius):
+    # the order-8 graphs cut to degree `keep` leave a defect of order
+    # radius^(keep + 1), far above the rounding floor, so the two
+    # evaluations must agree to a relative 1e-12
+    reports = [r for r in enumerate_centers(h, order=8)
+               if r.multiplicity != "none" and r.chart is not None]
+    assert reports
+    for r in reports:
+        r = dataclasses.replace(
+            r, graphs={k: g.truncate(keep) for k, g in r.graphs.items()})
+        got = check_residual_numeric(h, r, grid=12, radius=radius)
+        want = reference_residual(h, r, 12, radius)
+        assert want > 0 and abs(got - want) <= 1e-12 * want, (got, want)
