@@ -46,7 +46,7 @@ system = HoloSystem(linear, rows)
 reports = [r for r in enumerate_centers(system, order=10)
            if r.multiplicity != "none"]
 for r in reports:
-    result = check_isochronous(system, r, starts=12, radius=1e-2, step=1e-3)
+    result = check_isochronous(system, r, starts=12, radius=1e-2)
     print(f"chart {'xyz'[r.chart]}: predicted period {result.predicted_period:.6f}")
     print(f"  max return error over 12 starts: {result.return_error:.3e}")
     print(f"  max invariance residual:         {result.residual_error:.3e}")

@@ -11,8 +11,7 @@ from .briot_bouquet import (BBClassification, BBSystem, FormalSolution,
                             classify, formal_solve_nonresonant,
                             reduction_step, residual)
 from .centers import (CenterManifoldReport, ChartReduction, HoloSystem,
-                      chart_reduce, enumerate_centers, manifold_graph,
-                      manifold_residual)
+                      chart_reduce, enumerate_centers, manifold_residual)
 from .documents import (bb_report_document, emit_report, emit_system_document,
                         parse_bb_document, parse_system, report_document)
 from .series import EC_I, EC_ONE, EC_ZERO, ExactComplex, MultiSeries
@@ -33,7 +32,7 @@ __all__ = [
     "check_residual_numeric", "classify", "classify_spectrum", "compile_field",
     "emit_report", "emit_system_document", "enumerate_centers",
     "formal_solve_nonresonant", "integrate",
-    "manifold_graph", "manifold_residual", "normal_form_check",
+    "manifold_residual", "normal_form_check",
     "parse_bb_document", "parse_system", "reduction_step",
     "report_document", "residual", "solve_affine",
 ]

@@ -180,8 +180,7 @@ def _solve(bb, order, chart=None):
                 if not (delta[q].is_zero() or y[k - q].is_zero()):
                     total = total - delta[q] * y[k - q] * (k - q + 1)
             rhs.append(total)
-        matrix = SmallMatrix.identity(n) * ExactComplex(k) - bb.A
-        solved = solve_affine(matrix.rows, rhs)
+        solved = solve_affine(bb.A.shift(k).rows, [-v for v in rhs])
         if solved is None or solved[1]:
             for i, value in enumerate(rhs):
                 name = (_OBSTRUCTION_NAMES[resonances][i] if resonances < 2 and i < 2
@@ -224,8 +223,7 @@ def reduction_step(bb):
     linear-in-x column is the non-existence witness.
     """
     n = bb.n
-    matrix = SmallMatrix.identity(n) - bb.A
-    solved = solve_affine(matrix.rows, bb.px)
+    solved = solve_affine(bb.A.shift(1).rows, [-v for v in bb.px])
     if solved is None:
         raise BlockedStep("resonant order with nonvanishing obstruction", bb.px)
     shifts, free_cols = solved
@@ -250,9 +248,8 @@ def reduction_step(bb):
                 # keeps at least one power of x after the division
                 raise AssertionError("shear produced a linear dependent-variable term")
         new_nonlinear.append(MultiSeries(n + 1, g.order, kept))
-    new_A = bb.A - SmallMatrix.identity(n)
     return ReductionStep(
-        system=BBSystem(new_A, new_px, new_nonlinear),
+        system=BBSystem(bb.A.shift(1), new_px, new_nonlinear),
         shifts=shifts,
         free_columns=free_cols,
         resonant=bool(free_cols),

@@ -25,8 +25,8 @@ from math import pi
 
 from . import briot_bouquet as bb_engine
 from .errors import (DimensionMismatch, InvalidChart, NotNormalized,
-                     OrderTooSmall, UncertifiableSpectrum)
-from .series import ExactComplex, MultiSeries
+                     OrderTooSmall)
+from .series import MultiSeries
 from .spectra import (NF_NOT_NORMALIZED, SmallMatrix, classify_spectrum,
                       normal_form_check)
 
@@ -69,18 +69,6 @@ class HoloSystem:
         self.time_scale = Fraction(time_scale)
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
-
-    @property
-    def normal_form(self):
-        return normal_form_check(self.linear)
-
-    def scaled(self, factor):
-        """The field multiplied by an exact positive rational constant."""
-        factor = Fraction(factor)
-        c = ExactComplex(factor)
-        return HoloSystem(self.linear * c,
-                          tuple(s * c for s in self.nonlinear),
-                          self.time_scale)
 
     def __repr__(self):
         return f"<HoloSystem dim={self.dim}>"
@@ -282,8 +270,7 @@ def enumerate_centers(h, order=12):
     """
     if h.dim not in (2, 3):
         raise DimensionMismatch("center enumeration handles dimensions 2 and 3")
-    nf = h.normal_form
-    if nf == NF_NOT_NORMALIZED:
+    if normal_form_check(h.linear) == NF_NOT_NORMALIZED:
         info = classify_spectrum(h.linear)  # may raise UncertifiableSpectrum
         if not any(v.is_purely_imaginary() for v, _ in info.eigenvalues):
             return []
@@ -354,17 +341,6 @@ def _chart_report(h, m, pattern, order):
         obstructions=dict(verdict.obstructions),
         **common,
     )
-
-
-def manifold_graph(report):
-    """The truncated graph functions of a reported manifold, free parameters at
-    their representative values.  The Poincare center has no graph constraints
-    and returns an empty map."""
-    if report.multiplicity == MULT_NONE:
-        raise ValueError("a non-existence verdict has no manifold graph")
-    if report.graphs is None:
-        return {}
-    return dict(report.graphs)
 
 
 def manifold_residual(h, report, order=None):

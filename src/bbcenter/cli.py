@@ -9,7 +9,8 @@ unnormalized input, an ``--order`` below the one the system needs, a
 period that needs more than ``verify.MAX_RK4_STEPS`` RK4 steps or a
 coefficient that ``verify`` cannot convert to a double, 4 verification
 failure (a diverging or non-finite run included; its errors print as null
-next to a message).  ``--order`` is capped at ``MAX_ORDER``.
+next to a message).  ``--order`` is capped at ``MAX_ORDER`` and ``--starts``
+at ``MAX_STARTS``; a file that cannot be read or is not UTF-8 exits 2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .centers import enumerate_centers
 from .errors import (BBCenterError, NotNormalized, ParseError,
                      UncertifiableSpectrum)
 from .spectra import numeric_spectrum
-from .verify import MAX_RK4_STEPS, check_isochronous
+from .verify import MAX_RK4_STEPS, RK4_STEP, check_isochronous
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -32,6 +33,7 @@ EXIT_UNCERTIFIABLE = 3
 EXIT_VERIFY = 4
 
 MAX_ORDER = 64
+MAX_STARTS = 1000
 
 
 def _checked(convert, accept, requirement):
@@ -69,12 +71,13 @@ def _build_parser():
             p.add_argument("--tol", default=1e-6, type=_checked(
                 float, math.isfinite, "a finite number"))
             p.add_argument("--starts", default=20, type=_checked(
-                int, lambda v: v >= 1, "a positive integer"))
+                int, lambda v: 1 <= v <= MAX_STARTS, f"an integer from 1 to {MAX_STARTS}"),
+                help=f"RK4 start points per manifold, 1 to {MAX_STARTS} (default 20)")
 
     common(sub.add_parser("classify", help="enumerate center manifolds"))
     common(sub.add_parser("series", help="enumerate and print series coefficients"))
     verify_help = ("enumerate and verify numerically (RK4 over one period, "
-                   f"at most {MAX_RK4_STEPS} steps of 1e-3)")
+                   f"at most {MAX_RK4_STEPS} steps of {RK4_STEP:g})")
     common(sub.add_parser("verify", help=verify_help, description=verify_help),
            verify=True)
     common(sub.add_parser("bb", help="classify a raw Briot-Bouquet system"))
@@ -147,8 +150,8 @@ def main(argv=None):
     for path in args.files:
         try:
             text = _read(path)
-        except OSError as err:
-            print(f"error: cannot read {path}: {err}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as err:
+            print(f"error: {path}: cannot read: {err}", file=sys.stderr)
             worst = max(worst, EXIT_PARSE)
             continue
         try:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .briot_bouquet import BBSystem
 from .centers import AXIS_NAMES, HoloSystem
 from .errors import ParseError
-from .series import ExactComplex, MultiSeries
+from .series import EC_ZERO, ExactComplex, MultiSeries
 from .spectra import SmallMatrix, classify_spectrum, normal_form_check
 
 
@@ -48,17 +48,23 @@ def _ec_to_pair(value):
 def _load(document):
     if isinstance(document, (bytes, str)):
         try:
-            return json.loads(document)
+            document = json.loads(document)
         except json.JSONDecodeError as err:
             raise ParseError(f"invalid JSON: {err}", "document") from None
+    if not isinstance(document, dict):
+        raise ParseError("a document must be a JSON object", "document")
     return document
 
 
-def _parse_monomials(doc, nvars, order):
-    """Common walk over the equations array; yields (i, exps, coefficient)."""
+def _split_terms(doc, n, nvars, order, per):
+    """The n equations split by degree: rows of degree-one coefficients (row
+    i, column j for equation i and variable j) and one series per equation
+    of every other term.  Repeated monomials add up."""
     equations = doc.get("equations")
-    if not isinstance(equations, list):
-        raise ParseError("missing equations array", "equations")
+    if not isinstance(equations, list) or len(equations) != n:
+        raise ParseError(f"need one equation per {per}", "equations")
+    linear = [[EC_ZERO] * nvars for _ in equations]
+    nonlinear = [{} for _ in equations]
     for i, monomials in enumerate(equations):
         loc = f"equations[{i}]"
         if not isinstance(monomials, list):
@@ -80,7 +86,14 @@ def _parse_monomials(doc, nvars, order):
                     f"monomial degree {sum(exps)} exceeds the truncation order "
                     f"{order}; raise --order", where)
             coeff = _pair_to_ec(mono.get("coefficient"), f"{where}.coefficient")
-            yield i, tuple(exps), coeff
+            if sum(exps) == 1:
+                j = exps.index(1)
+                linear[i][j] = linear[i][j] + coeff
+            else:
+                exps = tuple(exps)
+                prev = nonlinear[i].get(exps)
+                nonlinear[i][exps] = coeff if prev is None else prev + coeff
+    return linear, tuple(MultiSeries(nvars, order, terms) for terms in nonlinear)
 
 
 def parse_system(document, order=12):
@@ -96,18 +109,7 @@ def parse_system(document, order=12):
     dim = len(variables)
     if dim not in (2, 3):
         raise ParseError(f"dimension must be 2 or 3, got {dim}", "variables")
-    if len(doc.get("equations") or []) != dim:
-        raise ParseError("need one equation per variable", "equations")
-    linear = [[ExactComplex(0)] * dim for _ in range(dim)]
-    nonlinear = [dict() for _ in range(dim)]
-    for i, exps, coeff in _parse_monomials(doc, dim, order):
-        if sum(exps) == 1:
-            j = exps.index(1)
-            linear[i][j] = linear[i][j] + coeff
-        else:
-            prev = nonlinear[i].get(exps)
-            nonlinear[i][exps] = coeff if prev is None else prev + coeff
-    series = tuple(MultiSeries(dim, order, terms) for terms in nonlinear)
+    linear, series = _split_terms(doc, dim, dim, order, "variable")
     scale = doc.get("time_scale", [1, 1])
     if (not isinstance(scale, list) or len(scale) != 2
             or not all(_is_int(v) for v in scale) or scale[1] == 0
@@ -131,23 +133,9 @@ def parse_bb_document(document, order=12):
     n = len(variables) - 1
     if n > 3:
         raise ParseError(f"at most 3 dependent variables, got {n}", "variables")
-    if len(doc.get("equations") or []) != n:
-        raise ParseError("need one equation per dependent variable", "equations")
-    A = [[ExactComplex(0)] * n for _ in range(n)]
-    px = [ExactComplex(0)] * n
-    nonlinear = [dict() for _ in range(n)]
-    for i, exps, coeff in _parse_monomials(doc, n + 1, order):
-        if sum(exps) == 1:
-            j = exps.index(1)
-            if j == 0:
-                px[i] = px[i] + coeff
-            else:
-                A[i][j - 1] = A[i][j - 1] + coeff
-        else:
-            prev = nonlinear[i].get(exps)
-            nonlinear[i][exps] = coeff if prev is None else prev + coeff
-    series = tuple(MultiSeries(n + 1, order, terms) for terms in nonlinear)
-    return BBSystem(SmallMatrix(A), px, series)
+    linear, series = _split_terms(doc, n, n + 1, order, "dependent variable")
+    return BBSystem(SmallMatrix([row[1:] for row in linear]),
+                    [row[0] for row in linear], series)
 
 
 def emit_system_document(h, variables=None):

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, UncertifiableSpectrum
 from .series import EC_ONE, EC_ZERO, ExactComplex
 
+NUMERIC_TOL = 1e-9  # |re| at most this is zero in the uncertified fallback
+
 
 class SmallMatrix:
     """A dense exact matrix of dimension 1..3, row major."""
@@ -36,10 +38,6 @@ class SmallMatrix:
             raise DimensionMismatch("matrix is not square")
         self.dim = dim
         self.rows = rows
-
-    @classmethod
-    def identity(cls, dim):
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     @classmethod
     def diagonal(cls, entries):
@@ -58,35 +56,11 @@ class SmallMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __sub__(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatch("dimension mismatch")
-        return SmallMatrix([[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
-
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatch("dimension mismatch")
-        return SmallMatrix([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
-
-    def __mul__(self, other):
-        if isinstance(other, SmallMatrix):
-            if self.dim != other.dim:
-                raise DimensionMismatch("dimension mismatch")
-            n = self.dim
-            return SmallMatrix([[
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(n)), EC_ZERO)
-                for j in range(n)] for i in range(n)])
-        scalar = ExactComplex.coerce(other)
-        return SmallMatrix([[v * scalar for v in row] for row in self.rows])
-
-    __rmul__ = __mul__
-
     def shift(self, scalar):
-        """self - scalar * I"""
+        """The matrix self - scalar * I."""
         scalar = ExactComplex.coerce(scalar)
-        return self - SmallMatrix.identity(self.dim) * scalar
+        return SmallMatrix([[v - scalar if i == j else v for j, v in enumerate(row)]
+                            for i, row in enumerate(self.rows)])
 
     def det(self):
         r = self.rows
@@ -335,7 +309,7 @@ def classify_spectrum(matrix):
     )
 
 
-def numeric_spectrum(matrix, tol=1e-9):
+def numeric_spectrum(matrix):
     """Double-precision fallback spectrum, flagged as uncertified.
 
     Used only for reporting when exact certification fails; no classification
@@ -349,9 +323,10 @@ def numeric_spectrum(matrix, tol=1e-9):
     for z in values:
         entries.append({
             "value": complex(z),
-            "purely_imaginary": bool(abs(z.real) <= tol and abs(z.imag) > tol),
+            "purely_imaginary": bool(abs(z.real) <= NUMERIC_TOL
+                                     and abs(z.imag) > NUMERIC_TOL),
         })
-    return {"eigenvalues": entries, "certified": False, "tolerance": tol}
+    return {"eigenvalues": entries, "certified": False, "tolerance": NUMERIC_TOL}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from .errors import BBCenterError, IntegrationDiverged
 
 DIVERGENCE_BOUND = 1e3
-MAX_RK4_STEPS = 100_000  # a period of at most 100 at the default step
+RK4_STEP = 1e-3
+MAX_RK4_STEPS = 100_000  # a period of at most 100 at RK4_STEP
+RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -138,26 +140,26 @@ def _manifold_starts(h, report, starts, radius):
         t[outside] *= 0.5  # the truncated graph bulged out; move inward
 
 
-def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
-                      tol=1e-6, residual_tol=1e-6):
+def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
     """Integrate sampled manifold points for one predicted period each.
 
-    Every start must return to itself within ``tol``; the invariance residual
-    on the same radius must stay below ``residual_tol``.  A graph that cannot
-    be sampled inside the radius and divergence, a non-finite state included,
-    are reported as a failed result with infinite errors and a message, not
-    as an exception.  ``BBCenterError`` is raised for a period that needs
-    more than ``MAX_RK4_STEPS`` steps, before any work, and for a
-    coefficient or value beyond double range.
+    In RK4 steps of about ``RK4_STEP``, every start must return to itself
+    within ``tol``; the invariance residual on the same radius must stay
+    below ``RESIDUAL_TOL``.  A graph that cannot be sampled inside the
+    radius and divergence, a non-finite state included, are reported as a
+    failed result with infinite errors and a message, not as an exception.
+    ``BBCenterError`` is raised for a period that needs more than
+    ``MAX_RK4_STEPS`` steps, before any work, and for a coefficient or value
+    beyond double range.
     """
     import numpy as np
     if report.multiplicity == "none":
         raise ValueError("cannot verify a non-existence verdict")
     period = report.period
-    n_steps = round(period / step)
+    n_steps = round(period / RK4_STEP)
     if n_steps > MAX_RK4_STEPS:
         raise BBCenterError(
-            f"period {period:.6g} needs {n_steps} RK4 steps of {step:g}; "
+            f"period {period:.6g} needs {n_steps} RK4 steps of {RK4_STEP:g}; "
             f"the cap is {MAX_RK4_STEPS}")
     try:
         # overflow and NaN are handled below, so numpy need not warn of them
@@ -169,7 +171,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
                     math.inf, math.inf, period, False,
                     "the truncated graph cannot be sampled inside radius "
                     f"{radius:g}")
-            z1 = _rk4_batch(field, z0, period, step)
+            z1 = _rk4_batch(field, z0, period, RK4_STEP)
             return_error = float(abs(z1 - z0).max())
             residual_error = check_residual_numeric(
                 h, report, grid=max(starts, 8), radius=radius)
@@ -180,7 +182,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, step=1e-3,
             f"a coefficient or value is beyond double range ({err})") from None
     message = ("" if math.isfinite(residual_error)
                else "the invariance residual is not finite")
-    passed = return_error <= tol and residual_error <= residual_tol
+    passed = return_error <= tol and residual_error <= RESIDUAL_TOL
     return VerifyResult(return_error, residual_error, period, passed, message)
 
 

@@ -293,7 +293,8 @@ def test_cli_rejects_bool_integers_and_uncapped_order(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("option,value", [
-    ("--starts", "0"), ("--starts", "-2"), ("--radius", "0"), ("--radius", "-1"),
+    ("--starts", "0"), ("--starts", "-2"), ("--starts", "1001"),
+    ("--radius", "0"), ("--radius", "-1"),
     ("--radius", "inf"), ("--radius", "nan"), ("--tol", "nan"), ("--tol", "inf"),
 ])
 def test_cli_verify_rejects_out_of_range_options(tmp_path, capsys, option, value):
@@ -303,6 +304,29 @@ def test_cli_verify_rejects_out_of_range_options(tmp_path, capsys, option, value
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and option in err
+
+
+@pytest.mark.parametrize("command", ["classify", "bb"])
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "a document must be a JSON object (at document)"),
+    ("null", "a document must be a JSON object (at document)"),
+    ("3", "a document must be a JSON object (at document)"),
+    ('{"variables": ["x", "y"], "equations": 5}', "need one equation per"),
+])
+def test_cli_malformed_document_exit_two(tmp_path, capsys, command, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_cli_undecodable_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot read: ") and err.count("\n") == 1
 
 
 def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):

@@ -25,6 +25,20 @@ def ec(re, im=0):
 I = ec(0, 1)
 
 
+def matmul(*factors):
+    """The exact product of square matrices, computed here so that the
+    conjugation oracles do not rest on the code they check."""
+    rows = factors[0].rows
+    for f in factors[1:]:
+        rows = [[sum((a * b for a, b in zip(row, col)), ec(0)) for col in zip(*f.rows)]
+                for row in rows]
+    return SmallMatrix(rows)
+
+
+def identity(n):
+    return SmallMatrix.diagonal([1] * n)
+
+
 def test_solve_affine_unique():
     m = [[ec(2), ec(0)], [ec(0), ec(3)]]
     sol, free = solve_affine(m, [ec(4), ec(6)])
@@ -80,7 +94,7 @@ def test_dense_rational_eigenvalues():
     m = SmallMatrix([[ec(1), ec(1)], [ec(0), ec(2)]])
     p = SmallMatrix([[ec(1), ec(1)], [ec(1), ec(2)]])
     pinv = SmallMatrix([[ec(2), ec(-1)], [ec(-1), ec(1)]])
-    conj = pinv * m * p
+    conj = matmul(pinv, m, p)
     info = classify_spectrum(conj)
     assert {str(v) for v, _ in info.eigenvalues} == {"1", "2"}
 
@@ -121,7 +135,7 @@ def test_similarity_invariance(diag, which):
     pinv = SmallMatrix([[p.entry(1, 1) / det, -p.entry(0, 1) / det],
                         [-p.entry(1, 0) / det, p.entry(0, 0) / det]])
     m = SmallMatrix.diagonal([ec(d) for d in diag])
-    conj = pinv * m * p
+    conj = matmul(pinv, m, p)
     a = classify_spectrum(m)
     b = classify_spectrum(conj)
     assert sorted(map(str, (v for v, _ in a.eigenvalues))) == \
@@ -159,14 +173,14 @@ def test_positive_integer_eigenvalues_need_no_certified_spectrum(rows, want):
 def _unimodular(ops, n):
     """P and P^-1 for a product of elementary integer row operations: row i
     gains c times another row j, for each (i, off, c) in ops."""
-    p, p_inv = SmallMatrix.identity(n), SmallMatrix.identity(n)
+    p, p_inv = identity(n), identity(n)
     for i, off, c in ops if n > 1 else ():
         i, j = i % n, (i + 1 + off % (n - 1)) % n
 
         def elementary(c):
             return SmallMatrix([[int(r == s) + c * ((r, s) == (i, j)) for s in range(n)]
                                 for r in range(n)])
-        p, p_inv = elementary(c) * p, p_inv * elementary(-c)
+        p, p_inv = matmul(elementary(c), p), matmul(p_inv, elementary(-c))
     return p, p_inv
 
 
@@ -203,8 +217,8 @@ def test_conjugated_spectrum_recovered_exactly(n, pool, pattern, couple, ops, bu
     t = SmallMatrix([[values[i] if i == j else int(j == i + 1 and i in coupled)
                       for j in range(n)] for i in range(n)])
     p, p_inv = _unimodular(ops, n)
-    m = p_inv * t * p
-    assert p * p_inv == SmallMatrix.identity(n)
+    m = matmul(p_inv, t, p)
+    assert matmul(p, p_inv) == identity(n)
 
     blocks, size = [], 1
     for i in range(n):
@@ -241,7 +255,7 @@ def test_positive_integer_eigenvalues_match_determinant_scan(rows):
     # eigenvalue has modulus below 3 * 3 < 10
     m = SmallMatrix(rows)
     direct = [k for k in range(1, 11)
-              if (SmallMatrix.identity(m.dim) * k - m).det().is_zero()]
+              if m.shift(k).det().is_zero()]
     assert positive_integer_eigenvalues(m) == direct
 
 
@@ -262,7 +276,7 @@ def test_root_search_cost_is_bounded_on_crafted_spectrum(limit):
     p = SmallMatrix([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
     p_inv = SmallMatrix([[0, -1, 1], [1, 1, -1], [-1, 0, 1]])
     start = time.perf_counter()
-    info = classify_spectrum(p_inv * d * p)
+    info = classify_spectrum(matmul(p_inv, d, p))
     assert time.perf_counter() - start < 5.0
     assert dict(info.eigenvalues) == {d.entry(i, i): 1 for i in range(3)}
 

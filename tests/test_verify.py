@@ -89,7 +89,7 @@ def axis_system():
 def test_axis_manifold_verifies():
     reports = {r.chart: r for r in enumerate_centers(axis_system(), order=8)}
     result = check_isochronous(axis_system(), reports[1], starts=8,
-                               radius=0.1, step=1e-3, tol=1e-8)
+                               radius=0.1, tol=1e-8)
     assert result.passed
     assert result.return_error < 1e-8
     assert result.residual_error < 1e-14
@@ -105,7 +105,7 @@ def test_wrong_period_fails():
         free_parameters=r.free_parameters, graphs=r.graphs,
         obstructions=r.obstructions)
     result = check_isochronous(axis_system(), stretched, starts=4,
-                               radius=0.1, step=1e-3, tol=1e-6)
+                               radius=0.1, tol=1e-6)
     assert not result.passed
     assert result.return_error > 1e-3
 
@@ -165,8 +165,7 @@ def test_poincare_center_verifies():
          MultiSeries(3, 8, {(0, 0, 2): ec(Fraction(-1, 8))}),
          MultiSeries(3, 8, {(1, 1, 0): ec(Fraction(1, 8))})])
     report = enumerate_centers(h, order=8)[0]
-    result = check_isochronous(h, report, starts=6, radius=1e-2,
-                               step=1e-3, tol=1e-6)
+    result = check_isochronous(h, report, starts=6, radius=1e-2, tol=1e-6)
     assert result.passed
 
 
