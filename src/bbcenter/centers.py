@@ -239,7 +239,7 @@ def _pattern_label(h, diag, imag_idx):
             return "three-imaginary-jordan-3"
         if len(imag_chain) == 1:
             return "three-imaginary-jordan-2"
-        distinct = len({(v.re, v.im) for v in values})
+        distinct = len(set(values))
         if distinct == 3:
             return "three-imaginary-distinct"
         if distinct == 2:

@@ -41,8 +41,8 @@ def _pair_to_ec(value, location):
 
 
 def _ec_to_pair(value):
-    return [[value.re.numerator, value.re.denominator],
-            [value.im.numerator, value.im.denominator]]
+    g, h = math.gcd(value.a, value.d), math.gcd(value.b, value.d)
+    return [[value.a // g, value.d // g], [value.b // h, value.d // h]]
 
 
 def _load(document):

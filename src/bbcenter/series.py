@@ -1,10 +1,11 @@
 """Sparse truncated multivariate power series over exact Gaussian-rational scalars.
 
 Everything downstream branches on exact vanishing of coefficients (is this
-obstruction zero or not?), so scalars are pairs of arbitrary-precision
-rationals and no tolerance appears anywhere in this module.  Floating point
-enters only through :meth:`MultiSeries.eval_numeric`, the bridge to the
-numeric verification layer.
+obstruction zero or not?), so a scalar is a Gaussian rational (a + b i) / d
+held as three arbitrary-precision integers, and no tolerance appears
+anywhere in this module.  Floating point enters only through
+:meth:`MultiSeries.eval_numeric`, the bridge to the numeric verification
+layer.
 
 Variable 0 of a :class:`MultiSeries` is the distinguished independent
 variable ("x"); the substitution primitives `shear_substitute` and
@@ -14,7 +15,7 @@ variable ("x"); the substitution primitives `shear_substitute` and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import DimensionMismatch, NotDivisible
 
@@ -27,11 +28,30 @@ def _rat(value):
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+_new = object.__new__
+
+
+def _ec(a, b, d):
+    """(a + b i) / d for integers with d > 0, reduced by one gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(ExactComplex)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
 class ExactComplex:
     """A complex scalar with rational real and imaginary parts.
 
-    Arithmetic is exact, equality is decidable, and floats are rejected at
-    construction time so no rounding can sneak into a classification branch.
+    It is stored as three integers, z = (a + b i) / d with d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal fields.  Arithmetic is
+    exact, equality is decidable, and floats are rejected at construction
+    time so no rounding can sneak into a classification branch.  ``re`` and
+    ``im`` give the parts as ``Fraction``s.
 
     >>> i = ExactComplex(0, 1)
     >>> print(i * i)
@@ -40,102 +60,115 @@ class ExactComplex:
     1/2-3i
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _rat(re)
-        self.im = _rat(im)
+        re, im = _rat(re), _rat(im)
+        d = lcm(re.denominator, im.denominator)
+        # reduced parts over their lcm leave gcd(a, b, d) = 1
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
 
     @staticmethod
     def coerce(value):
         if isinstance(value, ExactComplex):
             return value
-        return ExactComplex(_rat(value))
+        if type(value) is int:
+            return _ec(value, 0, 1)
+        value = _rat(value)
+        return _ec(value.numerator, 0, value.denominator)
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
         other = ExactComplex.coerce(other)
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _ec(self.a + other.a, self.b + other.b, d)
+        return _ec(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = ExactComplex.coerce(other)
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _ec(self.a - other.a, self.b - other.b, d)
+        return _ec(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return ExactComplex.coerce(other) - self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        return _ec(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         other = ExactComplex.coerce(other)
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _ec(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (a + b i) / d  over  (c + e i) / f  is  (a + b i)(c - e i) f / (d (c^2 + e^2))
         other = ExactComplex.coerce(other)
-        n = other.abs2()
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by exact zero")
-        return ExactComplex(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _ec((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
         return ExactComplex.coerce(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = ExactComplex(other)
+            other = ExactComplex.coerce(other)
         if not isinstance(other, ExactComplex):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def conjugate(self):
-        return ExactComplex(self.re, -self.im)
+        return _ec(self.a, -self.b, self.d)
 
     def abs2(self):
         """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_purely_imaginary(self):
         """Nonzero and on the imaginary axis."""
-        return self.re == 0 and self.im != 0
+        return self.a == 0 and self.b != 0
 
     def as_integer(self):
         """The exact integer value, or None."""
-        if self.im == 0 and self.re.denominator == 1:
-            return int(self.re)
+        if self.b == 0 and self.d == 1:
+            return self.a
         return None
 
     def to_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
-            im = "i"
-        elif self.im == -1:
-            im = "-i"
-        else:
-            im = f"{self.im}i"
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        text = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+        if re == 0:
+            return text
+        return f"{re}{'+' if im > 0 else ''}{text}"
 
     def __repr__(self):
         return f"ExactComplex({self.re!r}, {self.im!r})"

@@ -177,6 +177,21 @@ def _horner(q, a, b, m=0):
     return re, im
 
 
+def _coprime_mod(f, g, prime):
+    """Whether gcd(f, g) is constant over Z[i] / (prime), the field of
+    prime^2 elements: Euclid's algorithm on the reductions, where a
+    pseudo-remainder differs from the remainder by a unit."""
+    def reduce(p):
+        p = [(cr % prime, ci % prime) for cr, ci in p]
+        while p and p[-1] == (0, 0):
+            p.pop()
+        return p
+    f, g = reduce(f), reduce(g)
+    while g:
+        f, g = g, reduce(_pseudo_divmod(f, g)[1])
+    return len(f) == 1
+
+
 def _primes_3_mod_4():
     for p in itertools.count(3, 4):
         if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
@@ -189,11 +204,14 @@ def _simple_roots(p):
     With c its leading coefficient, t = c * lambda turns p into a monic q
     over Z[i], so every Q(i)-root is a Gaussian integer whose parts are
     below the Cauchy bound B.  Modulo a prime l = 3 (mod 4), Z[i] is the
-    field of l^2 elements; at the first such prime where every root of q is
-    simple (only divisors of the discriminant fail), the roots are found by
-    trying all l^2 residues and lifted by Newton's iteration modulo l^(2^j)
-    until the modulus exceeds 2B.  A lift that is an exact root over Z[i]
-    gives a root.
+    field of l^2 elements.  The first such prime where q stays squarefree,
+    gcd(q, q') = 1 modulo l, is chosen (only divisors of the discriminant
+    fail).  For deg q <= 3 that is the first prime where every root of q in
+    that field is simple: a repeated factor without such a root would be an
+    irreducible square, of degree 4 at least.  The roots are found by
+    trying all l^2 residues at that prime alone and lifted by Newton's
+    iteration modulo l^(2^j) until the modulus exceeds 2B.  A lift that is
+    an exact root over Z[i] gives a root.
     """
     q, scale = [(1, 0)], (1, 0)
     for c in reversed(p[:-1]):
@@ -201,11 +219,9 @@ def _simple_roots(p):
         scale = _gmul(scale, p[-1])
     dq = [(k * cr, k * ci) for k, (cr, ci) in enumerate(q)][1:]
     bound = 1 + max(abs(cr) + abs(ci) for cr, ci in q[:-1])
-    for prime in _primes_3_mod_4():
-        residues = [(a, b) for a in range(prime) for b in range(prime)
-                    if _horner(q, a, b, prime) == (0, 0)]
-        if all(_horner(dq, a, b, prime) != (0, 0) for a, b in residues):
-            break
+    prime = next(c for c in _primes_3_mod_4() if _coprime_mod(q, dq, c))
+    residues = [(a, b) for a in range(prime) for b in range(prime)
+                if _horner(q, a, b, prime) == (0, 0)]
     roots = []
     for a, b in residues:
         m = prime
@@ -246,8 +262,8 @@ def _eigenvalue_roots(matrix):
     if matrix.is_upper_triangular() or matrix.is_lower_triangular():
         return [matrix.entry(i, i) for i in range(matrix.dim)]
     p = matrix.charpoly()
-    den = math.lcm(*(x.denominator for c in p for x in (c.re, c.im)))
-    return _roots([(int(c.re * den), int(c.im * den)) for c in p])
+    den = math.lcm(*(c.d for c in p))
+    return _roots([(c.a * (den // c.d), c.b * (den // c.d)) for c in p])
 
 
 def positive_integer_eigenvalues(matrix):

@@ -36,8 +36,14 @@ def test_exact_complex_basics():
 
 
 def test_exact_complex_rejects_floats():
-    with pytest.raises(TypeError):
-        ExactComplex(0.5)
+    z = ExactComplex(1, 1)
+    for make in (lambda: ExactComplex(0.5), lambda: ExactComplex(0, 0.5),
+                 lambda: ExactComplex.coerce(0.5), lambda: z + 0.5,
+                 lambda: 0.5 + z, lambda: z - 0.5, lambda: 0.5 - z,
+                 lambda: z * 0.5, lambda: 0.5 * z, lambda: z / 0.5,
+                 lambda: 0.5 / z):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_exact_complex_division_by_zero():
@@ -50,6 +56,127 @@ def test_exact_complex_str():
     assert str(EC_I) == "i"
     assert str(ec(0, -1)) == "-i"
     assert str(ec(Fraction(1, 2), -3)) == "1/2-3i"
+
+
+# ---------------------------------------------------------------------------
+# ExactComplex against a reference built from plain Fraction pairs
+
+big_rational = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6)))
+mixed_operand = st.one_of(st.integers(-10**30, 10**30), big_rational)
+
+
+def ref_div(x, y):
+    (xr, xi), (yr, yi) = x, y
+    n = yr * yr + yi * yi
+    if n == 0:
+        raise ZeroDivisionError
+    return (xr * yr + xi * yi) / n, (xi * yr - xr * yi) / n
+
+
+REF_OPS = {
+    "+": lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    "-": lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    "*": lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    "/": ref_div,
+}
+EC_OPS = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+          "*": lambda u, v: u * v, "/": lambda u, v: u / v}
+
+
+def ref_str(x, y):
+    if y == 0:
+        return str(x)
+    im = "i" if y == 1 else "-i" if y == -1 else f"{y}i"
+    if x == 0:
+        return im
+    return f"{x}{'+' if y > 0 else ''}{im}"
+
+
+def parts(z):
+    assert type(z) is ExactComplex
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    return z.re, z.im
+
+
+def check_op(op, u, v, x, y):
+    try:
+        expected = REF_OPS[op](x, y)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            EC_OPS[op](u, v)
+        return
+    assert parts(EC_OPS[op](u, v)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_rational, big_rational, big_rational, big_rational, mixed_operand)
+def test_exact_complex_matches_fraction_pairs(xr, xi, yr, yi, k):
+    x, y = (xr, xi), (yr, yi)
+    u, v = ExactComplex(xr, xi), ExactComplex(yr, yi)
+    assert parts(u) == x
+    for op in REF_OPS:
+        check_op(op, u, v, x, y)
+        # an int or a Fraction on either side
+        check_op(op, u, k, x, (Fraction(k), Fraction(0)))
+        check_op(op, k, u, (Fraction(k), Fraction(0)), x)
+    assert parts(-u) == (-xr, -xi)
+    assert parts(u.conjugate()) == (xr, -xi)
+    assert u.abs2() == xr * xr + xi * xi and type(u.abs2()) is Fraction
+    integer = u.as_integer()
+    if xi == 0 and xr.denominator == 1:
+        assert integer == xr and type(integer) is int
+    else:
+        assert integer is None
+    assert u.is_zero() == (xr == 0 and xi == 0)
+    assert u.is_purely_imaginary() == (xr == 0 and xi != 0)
+    assert u.to_complex() == complex(xr) + 1j * complex(xi)
+    assert (u == v) == (x == y)
+    assert (u == k) == (x == (k, 0)) == (k == u)
+    assert (u == xr) == (xi == 0)
+    assert str(u) == ref_str(xr, xi)
+    assert repr(u) == f"ExactComplex({xr!r}, {xi!r})"
+    assert hash(u) == hash(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_rational, big_rational, big_rational, big_rational)
+def test_exact_complex_normalises(xr, xi, yr, yi):
+    u = ExactComplex(xr, xi)
+    built = [ExactComplex(xr) + ExactComplex(0, 1) * xi,
+             xi * EC_I + xr,
+             ExactComplex(xr, 0) - ExactComplex(0, -xi),
+             u.conjugate().conjugate(),
+             -(-u)]
+    w = ExactComplex(yr, yi)
+    if not w.is_zero():
+        built += [(u * w) / w, (u / w) * w, (u + w) - w]
+    for z in built:
+        assert z == u and hash(z) == hash(u) == hash((xr, xi))
+        assert str(z) == str(u) and repr(z) == repr(u)
+
+
+def test_exact_complex_normalisation_examples():
+    half = ExactComplex(Fraction(1, 2))
+    for z in (ExactComplex(Fraction(2, 4), 0), ExactComplex("1/2"),
+              ExactComplex(Fraction(3, 2)) - 1, EC_I * EC_I / -2):
+        assert z == half == Fraction(1, 2) and hash(z) == hash(half)
+    assert ExactComplex(Fraction(6, 4), Fraction(-3, 9)) == ExactComplex(
+        Fraction(3, 2), Fraction(-1, 3))
+    assert ExactComplex(Fraction(4, 2)).as_integer() == 2
+    assert hash(ExactComplex(4, -2)) == hash((4, -2))
+    assert 1 / ExactComplex(0, 2) == ExactComplex(0, Fraction(-1, 2))
+    assert 2 - ExactComplex(1, 1) == ExactComplex(1, -1)
+
+
+def test_exact_complex_to_complex_overflows_beyond_double_range():
+    for z in (ExactComplex(10**400), ExactComplex(0, -10**400),
+              ExactComplex(Fraction(10**400, 3), 1)):
+        with pytest.raises(OverflowError):
+            z.to_complex()
+    assert ExactComplex(Fraction(1, 10**400), 10**300).to_complex() \
+        == complex(0.0, 1e300)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def _primes_3_mod_4_product(limit):
     return out
 
 
-@pytest.mark.parametrize("limit", [100, 200])
+@pytest.mark.parametrize("limit", [100, 200, 400, 600])
 def test_root_search_cost_is_bounded_on_crafted_spectrum(limit):
     # the gap M between two eigenvalues is divisible by every prime
     # p = 3 (mod 4) below the limit, so the root search must pass them all
