@@ -6,11 +6,13 @@ Subcommands: ``classify`` (theorem dispatch and obstructions), ``series``
 
 Exit codes: 0 classified, 2 parse error, 3 uncertifiable spectrum,
 unnormalized input, an ``--order`` below the one the system needs, a
-period that needs more than ``verify.MAX_RK4_STEPS`` RK4 steps or a
-coefficient that ``verify`` cannot convert to a double, 4 verification
-failure (a diverging or non-finite run included; its errors print as null
-next to a message).  ``--order`` is capped at ``MAX_ORDER`` and ``--starts``
-at ``MAX_STARTS``; a file that cannot be read or is not UTF-8 exits 2.
+period whose first two RK4 runs (at the start step and half of it) need
+more than ``verify.MAX_RK4_STEPS`` steps or a coefficient that ``verify``
+cannot convert to a double, 4 verification failure (a diverging or
+non-finite run and step halving that reaches the cap included; a message
+names the cause, and errors that are not finite print as null).
+``--order`` is capped at ``MAX_ORDER`` and ``--starts`` at ``MAX_STARTS``;
+a file that cannot be read or is not UTF-8 exits 2.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .centers import enumerate_centers
 from .errors import (BBCenterError, NotNormalized, ParseError,
                      UncertifiableSpectrum)
 from .spectra import numeric_spectrum
-from .verify import MAX_RK4_STEPS, RK4_STEP, check_isochronous
+from .verify import MAX_RK4_STEPS, START_STEP, check_isochronous
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -76,10 +78,15 @@ def _build_parser():
 
     common(sub.add_parser("classify", help="enumerate center manifolds"))
     common(sub.add_parser("series", help="enumerate and print series coefficients"))
-    verify_help = ("enumerate and verify numerically (RK4 over one period, "
-                   f"at most {MAX_RK4_STEPS} steps of {RK4_STEP:g})")
-    common(sub.add_parser("verify", help=verify_help, description=verify_help),
-           verify=True)
+    verify_description = (
+        "enumerate and verify numerically: RK4 over one period from step "
+        f"min({START_STEP:g}, 2/|A|), halved until the Richardson estimate E is "
+        "below tol/100 or stops falling; pass iff return error + E <= tol and "
+        "the residual decays at the series order; at most "
+        f"{MAX_RK4_STEPS} steps per manifold")
+    common(sub.add_parser(
+        "verify", help="enumerate and verify numerically (RK4, step from --tol)",
+        description=verify_description), verify=True)
     common(sub.add_parser("bb", help="classify a raw Briot-Bouquet system"))
     return parser
 

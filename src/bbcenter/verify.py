@@ -3,34 +3,49 @@
 The exact layer proves that a graph is formally invariant and predicts the
 period of the isochronous family on it; this module checks both claims in
 double precision.  One sampler gives the truncated graph z(t) and its slope
-dz/dt as arrays on the circle |t| = radius: the points start a fixed-step
-RK4 integration that must return to them after the predicted period, and
-with the slopes they give the invariance residual in one field call.  The
-field is compiled to gathered monomials and one coefficient matrix.  A graph
-that cannot be sampled inside the radius, or a state that leaves the
-divergence bound or stops being finite, fails the check; a coefficient
-beyond double range raises ``BBCenterError``.  numpy is imported by the
-functions that use it, so importing the package does not load it.
+dz/dt as arrays on the circle |t| = radius: the points start RK4 runs that
+must return to them after the predicted period, and with the slopes they
+give the invariance residual in one field call.  The RK4 step is chosen
+from the tolerance: runs at h and h/2 give the Richardson estimate
+E = max|z_h - z_{h/2}| / 15 of the finer run's error, and h halves until E
+is far below the tolerance or stops falling, so a pass bounds the
+integration error as well as the return error.  The residual is sampled at
+two radii, where a graph exact to order N must shrink like radius^(N+1).
+The field is compiled to gathered monomials and one coefficient matrix.  A
+graph that cannot be sampled inside the radius, a state that leaves the
+divergence bound or stops being finite, or halving that reaches the step
+cap fails the check; a coefficient beyond double range raises
+``BBCenterError``.  numpy is imported by the functions that use it, so
+importing the package does not load it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BBCenterError, IntegrationDiverged
 
 DIVERGENCE_BOUND = 1e3
-RK4_STEP = 1e-3
-MAX_RK4_STEPS = 100_000  # a period of at most 100 at RK4_STEP
+START_STEP = 2e-2  # lowered to 2 / |A|_inf, inside RK4's stability region
+MAX_RK4_STEPS = 100_000  # all the RK4 runs of one manifold together
 RESIDUAL_TOL = 1e-6
+# a residual below RESIDUAL_FLOOR * radius * max(1, |A|_inf) is rounding; above
+# it, halving the radius must shrink an order-N graph's residual by at least
+# 2^(N + 1 - RESIDUAL_SLACK)
+RESIDUAL_FLOOR = 256 * sys.float_info.epsilon
+RESIDUAL_SLACK = 1
 
 
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of one manifold verification.
 
-    ``return_error`` is the worst |z(T) - z(0)| over the sampled starts and
-    ``residual_error`` the worst invariance defect on the sample grid; the
-    check passes iff both sit below their tolerances.
+    ``return_error`` is the worst |z(T) - z(0)| over the sampled starts at
+    the accepted RK4 ``step`` and ``error_estimate`` the Richardson bound on
+    its integration error; ``residual_error`` is the worst invariance defect
+    on the sample grid.  The check passes iff return error plus estimate
+    sits below the tolerance and the residual below ``RESIDUAL_TOL``,
+    decaying at the truncation order.
     """
 
     return_error: float
@@ -38,6 +53,8 @@ class VerifyResult:
     predicted_period: float
     passed: bool
     message: str = ""
+    step: float = math.nan
+    error_estimate: float = math.inf
 
 
 def compile_field(h):
@@ -140,28 +157,82 @@ def _manifold_starts(h, report, starts, radius):
         t[outside] *= 0.5  # the truncated graph bulged out; move inward
 
 
+def _halving_runs(field, z0, period, n_steps, tol):
+    """RK4 runs from z0 over one period in n_steps, 2 n_steps, 4 n_steps ...
+
+    Each pair of runs gives the Richardson estimate E = max|z_h - z_{h/2}| / 15
+    of the finer run's error.  Returns the finer end state, E, its step and
+    a message: empty once E <= tol / 100 or E stops falling (it is then at
+    the rounding floor), naming the cap when the next halving would take
+    the runs past ``MAX_RK4_STEPS`` steps.  The caller checks that the first
+    pair fits the cap.
+    """
+    coarse = _rk4_batch(field, z0, period, period / n_steps)
+    used, previous = n_steps, math.inf
+    while True:
+        n_steps *= 2
+        fine = _rk4_batch(field, z0, period, period / n_steps)
+        used += n_steps
+        estimate = float(abs(fine - coarse).max()) / 15
+        step = period / n_steps
+        if estimate <= tol / 100 or estimate >= previous / 4:
+            return fine, estimate, step, ""
+        if used + 2 * n_steps > MAX_RK4_STEPS:
+            return fine, estimate, step, (
+                f"halving the RK4 step below {step:.3g} would pass the cap of "
+                f"{MAX_RK4_STEPS} steps; the error estimate there is "
+                f"{estimate:.3g}, tol {tol:g}")
+        coarse, previous = fine, estimate
+
+
+def _residual_decay(h, report, grid, radius, norm):
+    """The residual on |t| = radius and a message when it does not fall
+    like radius^(N + 1) between radius and radius / 2 above the floor."""
+    residual = check_residual_numeric(h, report, grid=grid, radius=radius)
+    if not math.isfinite(residual):
+        return residual, "the invariance residual is not finite"
+    inner = check_residual_numeric(h, report, grid=grid, radius=radius / 2)
+    if inner <= RESIDUAL_FLOOR * radius / 2 * max(1.0, norm):
+        return residual, ""
+    if residual >= inner * 2.0 ** (report.order + 1 - RESIDUAL_SLACK):
+        return residual, ""
+    slope = math.log2(residual / inner) if residual else -math.inf
+    return residual, (
+        f"the invariance residual {residual:.3g} shrinks like "
+        f"radius^{slope:.2f}, not radius^{report.order + 1} as an "
+        f"order-{report.order} graph must")
+
+
 def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
     """Integrate sampled manifold points for one predicted period each.
 
-    In RK4 steps of about ``RK4_STEP``, every start must return to itself
-    within ``tol``; the invariance residual on the same radius must stay
-    below ``RESIDUAL_TOL``.  A graph that cannot be sampled inside the
-    radius and divergence, a non-finite state included, are reported as a
-    failed result with infinite errors and a message, not as an exception.
-    ``BBCenterError`` is raised for a period that needs more than
-    ``MAX_RK4_STEPS`` steps, before any work, and for a coefficient or value
-    beyond double range.
+    RK4 starts at step min(``START_STEP``, 2 / |A|_inf) for the linear part
+    A, the largest step that keeps every h*lambda inside RK4's stability
+    region, and halves while the Richardson estimate E of the finer run's
+    error is above tol / 100 and still falling.  The check passes iff every
+    start returns to itself with return error + E <= ``tol`` and the
+    invariance residual is at most ``RESIDUAL_TOL`` and, above its rounding
+    floor, shrinks at least like radius^(N + 1 - ``RESIDUAL_SLACK``) from
+    radius to radius / 2 for a graph of order N.  A graph that cannot be
+    sampled inside the radius, divergence (a non-finite state included) and
+    halving that would pass ``MAX_RK4_STEPS`` steps are reported as a failed
+    result with a message, not as an exception.  ``BBCenterError`` is raised
+    when the first two runs alone need more than ``MAX_RK4_STEPS`` steps,
+    before any work, and for a coefficient or value beyond double range.
     """
     import numpy as np
     if report.multiplicity == "none":
         raise ValueError("cannot verify a non-existence verdict")
     period = report.period
-    n_steps = round(period / RK4_STEP)
-    if n_steps > MAX_RK4_STEPS:
-        raise BBCenterError(
-            f"period {period:.6g} needs {n_steps} RK4 steps of {RK4_STEP:g}; "
-            f"the cap is {MAX_RK4_STEPS}")
     try:
+        norm = max(sum(map(abs, row)) for row in h.linear.to_complex_array())
+        start = START_STEP if norm * START_STEP <= 2 else 2 / norm
+        n_steps = max(1, math.ceil(period / start))
+        if 3 * n_steps > MAX_RK4_STEPS:
+            raise BBCenterError(
+                f"period {period:.6g} needs {3 * n_steps} RK4 steps for its "
+                f"first two runs, at steps {period / n_steps:.3g} and half "
+                f"that; the cap is {MAX_RK4_STEPS}")
         # overflow and NaN are handled below, so numpy need not warn of them
         with np.errstate(over="ignore", invalid="ignore"):
             field = compile_field(h)
@@ -171,19 +242,21 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
                     math.inf, math.inf, period, False,
                     "the truncated graph cannot be sampled inside radius "
                     f"{radius:g}")
-            z1 = _rk4_batch(field, z0, period, RK4_STEP)
+            z1, estimate, step, message = _halving_runs(
+                field, z0, period, n_steps, tol)
             return_error = float(abs(z1 - z0).max())
-            residual_error = check_residual_numeric(
-                h, report, grid=max(starts, 8), radius=radius)
+            residual_error, residual_message = _residual_decay(
+                h, report, max(starts, 8), radius, norm)
     except IntegrationDiverged as err:
         return VerifyResult(math.inf, math.inf, period, False, str(err))
     except OverflowError as err:
         raise BBCenterError(
             f"a coefficient or value is beyond double range ({err})") from None
-    message = ("" if math.isfinite(residual_error)
-               else "the invariance residual is not finite")
-    passed = return_error <= tol and residual_error <= RESIDUAL_TOL
-    return VerifyResult(return_error, residual_error, period, passed, message)
+    message = message or residual_message
+    passed = (not message and return_error + estimate <= tol
+              and residual_error <= RESIDUAL_TOL)
+    return VerifyResult(return_error, residual_error, period, passed, message,
+                        step, estimate)
 
 
 def check_residual_numeric(h, report, grid=16, radius=1e-2):

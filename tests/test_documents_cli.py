@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -330,7 +331,8 @@ def test_cli_undecodable_file_exit_two(tmp_path, capsys):
 
 
 def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):
-    # x' = (i/1000) x, y' = -y + x^2: period 2000 pi, 6.3 M steps of 1e-3
+    # x' = (i/1000) x, y' = -y + x^2: period 2000 pi, 942480 steps for the
+    # first two runs at 0.02 and 0.01
     doc = {"variables": ["x", "y"], "equations": [
         [mono((0, 1, 1, 1000), (1, 0))],
         [mono(-1, (0, 1)), mono(1, (2, 0))],
@@ -340,8 +342,42 @@ def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):
     assert cli.main(["verify", path]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert f"error: {path}:" in err and "6283185 RK4 steps" in err
+    assert f"error: {path}:" in err and "942480 RK4 steps" in err
     assert str(MAX_RK4_STEPS) in err
+
+
+def test_cli_verify_halving_cap_is_a_failure_not_a_refusal(tmp_path, capsys):
+    # x' = ix + y^2, y' = -5000 y + x^2: the start step is 2/5000, whose first
+    # two runs take 47124 steps; an unreachable tolerance asks for a third
+    # run of 62832 more, past the cap
+    doc = {"variables": ["x", "y"], "equations": [
+        [mono(i_times(), (1, 0)), mono(1, (0, 2))],
+        [mono(-5000, (0, 1)), mono(1, (2, 0))],
+    ]}
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["verify", path, "--order", "8", "--tol", "1e-30"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (block,) = [m["verification"] for m in json.loads(captured.out)["manifolds"]
+                if "verification" in m]
+    assert block["pass"] is False
+    assert f"cap of {MAX_RK4_STEPS} steps" in block["message"]
+    assert "the error estimate there is " in block["message"]
+
+
+def test_cli_verify_strict_tolerance_on_the_verify_corpus(monkeypatch, capsys):
+    # every manifold of the benchmark's seed-1 verify corpus passes at
+    # --tol 1e-12, with the integration error counted against the tolerance
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import corpus
+    blocks = []
+    for doc in corpus.build("verify-rk4", 1):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc.text))
+        assert cli.main(doc.argv + ["--tol", "1e-12"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        blocks += [m["verification"] for m in report["manifolds"]
+                   if "verification" in m]
+    assert len(blocks) == 12 and all(b["pass"] for b in blocks)
 
 
 def huge_coefficient_doc(power):

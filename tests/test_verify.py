@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,10 @@ from bbcenter.centers import HoloSystem, enumerate_centers
 from bbcenter.errors import IntegrationDiverged
 from bbcenter.series import ExactComplex, MultiSeries
 from bbcenter.spectra import SmallMatrix
-from bbcenter.verify import (_rk4_batch, check_isochronous,
-                             check_residual_numeric, compile_field, integrate)
+from bbcenter import verify
+from bbcenter.verify import (START_STEP, _halving_runs, _rk4_batch,
+                             check_isochronous, check_residual_numeric,
+                             compile_field, integrate)
 
 
 def ec(re, im=0):
@@ -306,3 +309,96 @@ def test_residual_matches_plain_complex_reference(h, keep, radius):
         got = check_residual_numeric(h, r, grid=12, radius=radius)
         want = reference_residual(h, r, 12, radius)
         assert want > 0 and abs(got - want) <= 1e-12 * want, (got, want)
+
+
+# the RK4 step chosen from the tolerance
+
+def stiff_system(lam):
+    """x' = ix + y^2, y' = lam y + x^2: a stiff hyperbolic direction."""
+    return HoloSystem(SmallMatrix.diagonal([I, ec(lam)]),
+                      [MultiSeries(2, 8, {(0, 2): ec(1)}),
+                       MultiSeries(2, 8, {(2, 0): ec(1)})])
+
+
+@pytest.mark.parametrize("lam", [-50, -500, -2000, -5000])
+def test_stiff_hyperbolic_direction_verifies(lam):
+    # a fixed step of 1e-3 puts h * lam = -5 outside RK4's stability region
+    # at lam = -5000, and a start step of 2e-2 without the 2 / |A| bound does
+    # so from lam = -200 on
+    h = stiff_system(lam)
+    (report,) = [r for r in enumerate_centers(h, order=8)
+                 if r.multiplicity != "none"]
+    result = check_isochronous(h, report)
+    assert result.passed, result
+    assert result.step <= 1 / abs(lam)
+    assert result.return_error + result.error_estimate <= 1e-6
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_graph_that_ignores_an_obstruction_fails(p):
+    # x' = ix, y' = p i y + x^p has no manifold on chart x; the graph y = 0 of
+    # the unperturbed system leaves the residual t^p, which decays with slope
+    # p where an order-8 graph's decays with slope 9
+    linear = SmallMatrix.diagonal([I, ec(0, p)])
+    unperturbed = HoloSystem(linear, [MultiSeries.zero(2, 8)] * 2)
+    h = HoloSystem(linear, [MultiSeries.zero(2, 8),
+                            MultiSeries(2, 8, {(p, 0): ec(1)})])
+    (report,) = [r for r in enumerate_centers(unperturbed, order=8)
+                 if r.chart == 0]
+    result = check_isochronous(h, report)
+    assert not result.passed
+    assert f"radius^{p}.00" in result.message
+    assert result.residual_error == pytest.approx(1e-2 ** p)
+
+
+def test_halving_that_reaches_the_cap_fails_with_a_message(monkeypatch):
+    # chart y of diag(i, 3i, 1): period 2 pi / 3 in 105 + 210 steps at the
+    # start step; the next halving needs 420 more, past a cap of 500
+    monkeypatch.setattr(verify, "MAX_RK4_STEPS", 500)
+    reports = {r.chart: r for r in enumerate_centers(axis_system(), order=8)}
+    result = check_isochronous(axis_system(), reports[1], starts=4,
+                               radius=0.1, tol=1e-30)
+    assert not result.passed
+    assert "cap of 500 steps" in result.message
+    assert f"error estimate there is {result.error_estimate:.3g}" in result.message
+    assert math.isfinite(result.return_error) and result.error_estimate > 0
+
+
+def test_pass_counts_the_error_estimate_against_tol(monkeypatch):
+    # the same return error fails once the estimate leaves it no room under
+    # tol: a pass never rests on integration error
+    halving = verify._halving_runs
+
+    def pessimistic(field, z0, period, n_steps, tol):
+        fine, _, step, message = halving(field, z0, period, n_steps, tol)
+        return fine, tol, step, message
+
+    monkeypatch.setattr(verify, "_halving_runs", pessimistic)
+    reports = {r.chart: r for r in enumerate_centers(axis_system(), order=8)}
+    result = check_isochronous(axis_system(), reports[1], starts=8,
+                               radius=0.1, tol=1e-8)
+    assert result.return_error < 1e-8 and not result.passed
+    assert result.message == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields_and_inputs(), st.floats(0.25, 1.0),
+       st.sampled_from([1e-4, 1e-6, 1e-8]))
+def test_richardson_estimate_bounds_the_finer_run(case, period, tol):
+    # the accepted run's error, measured against a run at half its step, is
+    # at most twice the estimate or at the rounding floor of the steps taken
+    h, _, points = case
+    z0 = np.array(points, dtype=complex).reshape(-1, h.dim)
+    z0 = 0.05 * z0 / max(1.0, float(abs(z0).max()))
+    field = compile_field(h)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            fine, estimate, step, _ = _halving_runs(
+                field, z0, period, math.ceil(period / START_STEP), tol)
+            finer = _rk4_batch(field, z0, period, step / 2)
+    except IntegrationDiverged:
+        return
+    error = float(abs(fine - finer).max())
+    floor = (64 * sys.float_info.epsilon * max(1.0, float(abs(finer).max()))
+             * round(period / step))
+    assert error <= 2 * estimate or error <= floor, (error, estimate, floor)
