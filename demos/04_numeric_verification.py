@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from bbcenter import (ExactComplex, HoloSystem, MultiSeries, SmallMatrix,
                       check_isochronous, check_residual_numeric,
-                      enumerate_centers, integrate)
+                      compile_field, enumerate_centers, integrate)
 
 
 def ec(re, im=0):
@@ -64,7 +64,7 @@ short = [r for r in enumerate_centers(system, order=4)
 print(f"invariance residual of the order-4 graph on chart "
       f"{'xyz'[short.chart]}, by radius")
 for radius in (1e-1, 1e-2, 1e-3):
-    value = check_residual_numeric(system, short, grid=12, radius=radius)
+    value = check_residual_numeric(compile_field(system), short, grid=12, radius=radius)
     print(f"  radius {radius:g}: {value:.3e}")
 print("  (each decade of radius buys ~order+1 decades of residual,")
 print("   down to the double-precision floor)")

@@ -227,27 +227,17 @@ def reduction_step(bb):
     if solved is None:
         raise BlockedStep("resonant order with nonvanishing obstruction", bb.px)
     shifts, free_cols = solved
-    sheared = []
-    for i in range(n):
-        g = bb.nonlinear[i]
-        for j in range(n):
-            g = g.shear_substitute(j + 1, shifts[j])
-        sheared.append(g.divide_by_x())
-    new_px = []
-    new_nonlinear = []
-    for i, g in enumerate(sheared):
-        px_exps = (1,) + (0,) * n
-        new_px.append(g.coeff(px_exps))
-        kept = {}
-        for exps, coeff in g.terms.items():
-            d = sum(exps)
-            if d >= 2:
-                kept[exps] = coeff
-            elif d == 1 and exps[0] == 0:
-                # a pure-y linear term cannot arise: every transformed term
-                # keeps at least one power of x after the division
-                raise AssertionError("shear produced a linear dependent-variable term")
-        new_nonlinear.append(MultiSeries(n + 1, g.order, kept))
+    order = max(g.order for g in bb.nonlinear)
+    x, *ys = (MultiSeries.variable(n + 1, order, j) for j in range(n + 1))
+    subs = [x] + [x * (y + shift) for y, shift in zip(ys, shifts)]
+    new_px, new_nonlinear = [], []
+    for g in bb.nonlinear:
+        # every sheared term keeps a power of x after the division, so only
+        # the px column has degree one
+        g = g.substitute(subs).divide_by_x()
+        new_px.append(g.coeff((1,) + (0,) * n))
+        new_nonlinear.append(MultiSeries(n + 1, g.order, {
+            e: c for e, c in g.terms.items() if sum(e) >= 2}))
     return ReductionStep(
         system=BBSystem(bb.A.shift(1), new_px, new_nonlinear),
         shifts=shifts,

@@ -27,8 +27,8 @@ from . import briot_bouquet as bb_engine
 from .errors import (DimensionMismatch, InvalidChart, NotNormalized,
                      OrderTooSmall)
 from .series import MultiSeries
-from .spectra import (NF_NOT_NORMALIZED, SmallMatrix, classify_spectrum,
-                      normal_form_check)
+from .spectra import (NF_DIAGONAL, NF_JORDAN_2, NF_JORDAN_3, NF_NOT_NORMALIZED,
+                      SmallMatrix, classify_spectrum, normal_form_check)
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -218,34 +218,23 @@ def _chart_system(h, chart, lam, deps, A, order):
 # ---------------------------------------------------------------------------
 # eigenvalue patterns
 
-def _pattern_label(h, diag, imag_idx):
-    dim = h.dim
-    count = len(imag_idx)
-    values = [diag[i] for i in imag_idx]
-    all_equal = all(v == values[0] for v in values)
-    chains = [i for i in range(dim - 1) if not h.linear.entry(i, i + 1).is_zero()]
-    imag_chain = [i for i in chains if diag[i].is_purely_imaginary()]
-
-    if count == dim and all_equal and not chains:
+def _pattern_label(form, imaginary_values, dim):
+    """The eigenvalue pattern of a normalized linear part, from its normal
+    form and its purely imaginary diagonal entries."""
+    count, distinct = len(imaginary_values), len(set(imaginary_values))
+    if form == NF_DIAGONAL and distinct == 1:
         return "poincare"
     if count == 1:
         return "one-imaginary"
     if dim == 2 or count == 2:
-        if all_equal:
-            return "two-imaginary-jordan" if imag_chain else "two-imaginary-equal"
-        return "two-imaginary-distinct"
-    if count == 3:
-        if len(imag_chain) == 2:
-            return "three-imaginary-jordan-3"
-        if len(imag_chain) == 1:
-            return "three-imaginary-jordan-2"
-        distinct = len(set(values))
-        if distinct == 3:
-            return "three-imaginary-distinct"
-        if distinct == 2:
-            return "three-imaginary-two-equal"
-        # all equal but not diagonalizable would have shown a chain
-    raise RuntimeError("unhandled eigenvalue pattern; dispatch is not exhaustive")
+        if distinct > 1:
+            return "two-imaginary-distinct"
+        return "two-imaginary-jordan" if form == NF_JORDAN_2 else "two-imaginary-equal"
+    if form == NF_JORDAN_3:
+        return "three-imaginary-jordan-3"
+    if form == NF_JORDAN_2:
+        return "three-imaginary-jordan-2"
+    return "three-imaginary-distinct" if distinct == 3 else "three-imaginary-two-equal"
 
 
 def _tangency(axes):
@@ -270,18 +259,18 @@ def enumerate_centers(h, order=12):
     """
     if h.dim not in (2, 3):
         raise DimensionMismatch("center enumeration handles dimensions 2 and 3")
-    if normal_form_check(h.linear) == NF_NOT_NORMALIZED:
+    form = normal_form_check(h.linear)
+    if form == NF_NOT_NORMALIZED:
         info = classify_spectrum(h.linear)  # may raise UncertifiableSpectrum
         if not any(v.is_purely_imaginary() for v, _ in info.eigenvalues):
             return []
         raise NotNormalized(
             "the linear part is not in a supported normal form; "
             "conjugate the system first")
+    # a supported normal form has a purely imaginary diagonal entry
     diag = [h.linear.entry(i, i) for i in range(h.dim)]
     imag_idx = [i for i, v in enumerate(diag) if v.is_purely_imaginary()]
-    if not imag_idx:
-        return []
-    pattern = _pattern_label(h, diag, imag_idx)
+    pattern = _pattern_label(form, [diag[i] for i in imag_idx], h.dim)
 
     if pattern == "poincare":
         return [CenterManifoldReport(
@@ -343,7 +332,7 @@ def _chart_report(h, m, pattern, order):
     )
 
 
-def manifold_residual(h, report, order=None):
+def manifold_residual(h, report):
     """Exact residual of the chart invariance condition along the graph.
 
     For each dependent coordinate, (dz_chart/dt) * g' - (dz_k/dt), both sides
@@ -353,9 +342,7 @@ def manifold_residual(h, report, order=None):
     """
     if report.chart is None:
         return {}
-    if order is None:
-        order = report.order
-    m = report.chart
+    order, m = report.order, report.chart
     subs = [MultiSeries.variable(1, order, 0) if k == m
             else report.graphs[k].with_order(order) for k in range(h.dim)]
     rows = _field_along(h, subs, order)

@@ -68,10 +68,10 @@ def _build_parser():
                        help="report a flagged double-precision spectrum instead of "
                             "failing when exact certification is impossible")
         if verify:
-            p.add_argument("--radius", default=1e-2, type=_checked(
-                float, lambda v: 0 < v < math.inf, "a positive finite number"))
-            p.add_argument("--tol", default=1e-6, type=_checked(
-                float, math.isfinite, "a finite number"))
+            positive = _checked(float, lambda v: 0 < v < math.inf,
+                                "a positive finite number")
+            p.add_argument("--radius", default=1e-2, type=positive)
+            p.add_argument("--tol", default=1e-6, type=positive)
             p.add_argument("--starts", default=20, type=_checked(
                 int, lambda v: 1 <= v <= MAX_STARTS, f"an integer from 1 to {MAX_STARTS}"),
                 help=f"RK4 start points per manifold, 1 to {MAX_STARTS} (default 20)")
@@ -81,8 +81,8 @@ def _build_parser():
     verify_description = (
         "enumerate and verify numerically: RK4 over one period from step "
         f"min({START_STEP:g}, 2/|A|), halved until the Richardson estimate E is "
-        "below tol/100 or stops falling; pass iff return error + E <= tol and "
-        "the residual decays at the series order; at most "
+        "below tol/100 or 64 eps |z0|, or stops falling; pass iff return error "
+        "+ E <= tol (tol > 0) and the residual decays at the series order; at most "
         f"{MAX_RK4_STEPS} steps per manifold")
     common(sub.add_parser(
         "verify", help="enumerate and verify numerically (RK4, step from --tol)",

@@ -15,7 +15,7 @@ variable ("x"); the substitution primitives `shear_substitute` and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotDivisible
 
@@ -341,42 +341,17 @@ class MultiSeries:
         """Replace variable j by x*(y_j + shift), x being variable 0.
 
         Result is re-truncated to the same order.  It shifts off the order-1
-        Taylor coefficient and multiplies the remainder by x: the move behind
-        ``briot_bouquet.reduction_step``, which lowers every eigenvalue of a
-        Briot-Bouquet system by one.  ``briot_bouquet.classify`` reads the
+        Taylor coefficient and multiplies the remainder by x: the move that
+        ``briot_bouquet.reduction_step`` makes on every y_j at once to lower
+        each eigenvalue of a Briot-Bouquet system by one.  ``classify`` reads the
         resonant obstructions by direct recursion and does not use it.
         """
         if j == 0 or not 0 < j < self.nvars:
             raise IndexError(f"shear variable must satisfy 1 <= j < nvars, got {j}")
-        shift = ExactComplex.coerce(shift)
-        out = {}
-        powers = [EC_ONE]
-
-        def shift_pow(k):
-            while len(powers) <= k:
-                powers.append(powers[-1] * shift)
-            return powers[k]
-
-        for exps, coeff in self.terms.items():
-            aj = exps[j]
-            if aj == 0:
-                if sum(exps) <= self.order:
-                    prev = out.get(exps)
-                    out[exps] = coeff if prev is None else prev + coeff
-                continue
-            base = list(exps)
-            base[0] += aj
-            for m in range(aj + 1):
-                if shift.is_zero() and m < aj:
-                    continue
-                new = tuple(base[:j] + [m] + base[j + 1:])
-                if sum(new) > self.order:
-                    continue
-                c = coeff * comb(aj, m) * shift_pow(aj - m)
-                prev = out.get(new)
-                tot = c if prev is None else prev + c
-                out[new] = tot
-        return MultiSeries(self.nvars, self.order, out)
+        subs = [MultiSeries.variable(self.nvars, max(self.order, 1), k)
+                for k in range(self.nvars)]
+        subs[j] = subs[0] * (subs[j] + shift)
+        return self.substitute(subs)
 
     def divide_by_x(self):
         """Shift every exponent of variable 0 down by one; order drops by one."""

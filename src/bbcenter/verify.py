@@ -8,15 +8,16 @@ must return to them after the predicted period, and with the slopes they
 give the invariance residual in one field call.  The RK4 step is chosen
 from the tolerance: runs at h and h/2 give the Richardson estimate
 E = max|z_h - z_{h/2}| / 15 of the finer run's error, and h halves until E
-is far below the tolerance or stops falling, so a pass bounds the
-integration error as well as the return error.  The residual is sampled at
-two radii, where a graph exact to order N must shrink like radius^(N+1).
-The field is compiled to gathered monomials and one coefficient matrix.  A
-graph that cannot be sampled inside the radius, a state that leaves the
-divergence bound or stops being finite, or halving that reaches the step
-cap fails the check; a coefficient beyond double range raises
-``BBCenterError``.  numpy is imported by the functions that use it, so
-importing the package does not load it.
+is far below the tolerance, stops falling or reaches the rounding level of
+the start points, so a pass bounds the integration error as well as the
+return error.  The residual is sampled at two radii, where a graph exact to
+order N must shrink like radius^(N+1).  Each manifold compiles its field
+once, to gathered monomials and one coefficient matrix.  A graph that
+cannot be sampled inside the radius, a state that leaves the divergence
+bound or stops being finite, or halving that reaches the step cap fails the
+check; a coefficient beyond double range raises ``BBCenterError``.  numpy is
+imported by the functions that use it, so importing the package does not
+load it.
 """
 
 import math
@@ -34,6 +35,10 @@ RESIDUAL_TOL = 1e-6
 # 2^(N + 1 - RESIDUAL_SLACK)
 RESIDUAL_FLOOR = 256 * sys.float_info.epsilon
 RESIDUAL_SLACK = 1
+# halving also stops at E <= ESTIMATE_FLOOR * max|z0|: RK4 misses a rotation's
+# period by ~80 / n^4 relative in n steps, so E = 64 eps needs n ~ 10^4 steps,
+# whose rounding is already ~sqrt(n) eps = 100 eps; halving cannot lower it
+ESTIMATE_FLOOR = 64 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,10 @@ def integrate(h, z0, t_final, step):
     return _rk4_batch(compile_field(h), z, t_final, step)[0]
 
 
-def _sample_graph(report, dim, t):
+def _sample_graph(report, t):
     """The graph z(t) and its slope dz/dt at the chart values t, (len(t), dim)."""
     import numpy as np
-    z = np.zeros((len(t), dim), dtype=complex)
+    z = np.zeros((len(t), len(report.graphs) + 1), dtype=complex)
     dz = np.zeros_like(z)
     z[:, report.chart], dz[:, report.chart] = t, 1.0
     for k, g in report.graphs.items():
@@ -148,7 +153,7 @@ def _manifold_starts(h, report, starts, radius):
         return radius * raw
     t = radius * np.exp(2j * np.pi * np.arange(starts) / starts)
     while True:
-        z, _ = _sample_graph(report, dim, t)
+        z, _ = _sample_graph(report, t)
         outside = ~(np.linalg.norm(z, axis=1) <= radius)  # a NaN is outside
         if not outside.any():
             return z
@@ -162,9 +167,9 @@ def _halving_runs(field, z0, period, n_steps, tol):
 
     Each pair of runs gives the Richardson estimate E = max|z_h - z_{h/2}| / 15
     of the finer run's error.  Returns the finer end state, E, its step and
-    a message: empty once E <= tol / 100 or E stops falling (it is then at
-    the rounding floor), naming the cap when the next halving would take
-    the runs past ``MAX_RK4_STEPS`` steps.  The caller checks that the first
+    a message: empty once E <= tol / 100 or E stops falling, else naming the
+    cap when the next halving would pass ``MAX_RK4_STEPS`` steps, else empty
+    once E <= ``ESTIMATE_FLOOR`` max|z0|.  The caller checks that the first
     pair fits the cap.
     """
     coarse = _rk4_batch(field, z0, period, period / n_steps)
@@ -182,16 +187,18 @@ def _halving_runs(field, z0, period, n_steps, tol):
                 f"halving the RK4 step below {step:.3g} would pass the cap of "
                 f"{MAX_RK4_STEPS} steps; the error estimate there is "
                 f"{estimate:.3g}, tol {tol:g}")
+        if estimate <= ESTIMATE_FLOOR * abs(z0).max():
+            return fine, estimate, step, ""
         coarse, previous = fine, estimate
 
 
-def _residual_decay(h, report, grid, radius, norm):
+def _residual_decay(field, report, grid, radius, norm):
     """The residual on |t| = radius and a message when it does not fall
     like radius^(N + 1) between radius and radius / 2 above the floor."""
-    residual = check_residual_numeric(h, report, grid=grid, radius=radius)
+    residual = check_residual_numeric(field, report, grid=grid, radius=radius)
     if not math.isfinite(residual):
         return residual, "the invariance residual is not finite"
-    inner = check_residual_numeric(h, report, grid=grid, radius=radius / 2)
+    inner = check_residual_numeric(field, report, grid=grid, radius=radius / 2)
     if inner <= RESIDUAL_FLOOR * radius / 2 * max(1.0, norm):
         return residual, ""
     if residual >= inner * 2.0 ** (report.order + 1 - RESIDUAL_SLACK):
@@ -209,16 +216,17 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
     RK4 starts at step min(``START_STEP``, 2 / |A|_inf) for the linear part
     A, the largest step that keeps every h*lambda inside RK4's stability
     region, and halves while the Richardson estimate E of the finer run's
-    error is above tol / 100 and still falling.  The check passes iff every
-    start returns to itself with return error + E <= ``tol`` and the
-    invariance residual is at most ``RESIDUAL_TOL`` and, above its rounding
-    floor, shrinks at least like radius^(N + 1 - ``RESIDUAL_SLACK``) from
-    radius to radius / 2 for a graph of order N.  A graph that cannot be
-    sampled inside the radius, divergence (a non-finite state included) and
-    halving that would pass ``MAX_RK4_STEPS`` steps are reported as a failed
-    result with a message, not as an exception.  ``BBCenterError`` is raised
-    when the first two runs alone need more than ``MAX_RK4_STEPS`` steps,
-    before any work, and for a coefficient or value beyond double range.
+    error is above tol / 100 and ``ESTIMATE_FLOOR`` max|z0| and still
+    falling.  The check passes iff every start returns to itself with return
+    error + E <= ``tol`` and the invariance residual is at most
+    ``RESIDUAL_TOL`` and, above its rounding floor, shrinks at least like
+    radius^(N + 1 - ``RESIDUAL_SLACK``) from radius to radius / 2 for a graph
+    of order N.  A graph that cannot be sampled inside the radius,
+    divergence (a non-finite state included) and halving that would pass
+    ``MAX_RK4_STEPS`` steps are reported as a failed result with a message,
+    not as an exception.  ``BBCenterError`` is raised when the first two runs
+    alone need more than ``MAX_RK4_STEPS`` steps, before any work, and for a
+    coefficient or value beyond double range.
     """
     import numpy as np
     if report.multiplicity == "none":
@@ -246,7 +254,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
                 field, z0, period, n_steps, tol)
             return_error = float(abs(z1 - z0).max())
             residual_error, residual_message = _residual_decay(
-                h, report, max(starts, 8), radius, norm)
+                field, report, max(starts, 8), radius, norm)
     except IntegrationDiverged as err:
         return VerifyResult(math.inf, math.inf, period, False, str(err))
     except OverflowError as err:
@@ -259,18 +267,18 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
                         step, estimate)
 
 
-def check_residual_numeric(h, report, grid=16, radius=1e-2):
+def check_residual_numeric(field, report, grid=16, radius=1e-2):
     """Worst invariance defect of the truncated graph on |t| = radius.
 
-    Evaluates (dz_chart/dt) g_k'(t) - (dz_k/dt) along the embedding in double
-    precision; for a graph exact to order N this decays like radius^(N+1)
-    until the rounding floor.
+    Evaluates (dz_chart/dt) g_k'(t) - (dz_k/dt) along the embedding with
+    ``field``, the system's ``compile_field``; for a graph exact to order N
+    this decays like radius^(N+1) until the rounding floor.
     """
     import numpy as np
     if report.chart is None:
         return 0.0
     t = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
-    z, dz = _sample_graph(report, h.dim, t)
-    rhs = compile_field(h)(z)
+    z, dz = _sample_graph(report, t)
+    rhs = field(z)
     # the chart column is rhs - rhs = 0; max() of an array keeps a NaN
     return float(abs(rhs[:, [report.chart]] * dz - rhs).max())

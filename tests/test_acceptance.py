@@ -21,7 +21,8 @@ from bbcenter.briot_bouquet import (BBSystem, KIND_FAMILY, KIND_NO_SOLUTION,
 from bbcenter.centers import (HoloSystem, enumerate_centers, manifold_residual)
 from bbcenter.series import ExactComplex, MultiSeries
 from bbcenter.spectra import SmallMatrix
-from bbcenter.verify import check_isochronous, check_residual_numeric, integrate
+from bbcenter.verify import (check_isochronous, check_residual_numeric,
+                             compile_field, integrate)
 
 
 def ec(re, im=0):
@@ -301,7 +302,8 @@ def test_criterion_6_residual_property(tmp_path, capsys):
                 for row in manifold_residual(h, r).values():
                     assert row.is_zero()
                 radii = (1e-1, 1e-2, 1e-3)
-                values = [check_residual_numeric(h, r, grid=12, radius=rad)
+                field = compile_field(h)
+                values = [check_residual_numeric(field, r, grid=12, radius=rad)
                           for rad in radii]
                 floor = 1e-17
                 for big, small in zip(values, values[1:]):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from bb_oracle import oracle_classify, oracle_witnesses, to_oracle
 from bbcenter.centers import (AXIS_NAMES, MULT_INFINITE, MULT_NONE,
                               MULT_UNIQUE, POINCARE_TAG, CenterManifoldReport,
-                              HoloSystem, chart_reduce, enumerate_centers,
-                              manifold_residual)
+                              HoloSystem, _pattern_label, chart_reduce,
+                              enumerate_centers, manifold_residual)
 from bbcenter.errors import InvalidChart, NotNormalized, OrderTooSmall
 from bbcenter.series import ExactComplex, MultiSeries
-from bbcenter.spectra import SmallMatrix
+from bbcenter.spectra import NF_NOT_NORMALIZED, SmallMatrix, normal_form_check
 
 
 def ec(re, im=0):
@@ -518,3 +519,54 @@ def test_pattern_exhaustiveness():
         assert reports, f"no reports for {h.linear!r}"
         for r in reports:
             assert r.theorem_tag
+
+
+def chain_scan_label(linear):
+    """The eigenvalue pattern as read by scanning the matrix for Jordan
+    chains: the reference that ``_pattern_label`` must agree with."""
+    dim = linear.dim
+    diag = [linear.entry(i, i) for i in range(dim)]
+    values = [v for v in diag if v.is_purely_imaginary()]
+    count = len(values)
+    all_equal = all(v == values[0] for v in values)
+    chains = [i for i in range(dim - 1) if not linear.entry(i, i + 1).is_zero()]
+    imag_chain = [i for i in chains if diag[i].is_purely_imaginary()]
+    if count == dim and all_equal and not chains:
+        return "poincare"
+    if count == 1:
+        return "one-imaginary"
+    if dim == 2 or count == 2:
+        if all_equal:
+            return "two-imaginary-jordan" if imag_chain else "two-imaginary-equal"
+        return "two-imaginary-distinct"
+    if len(imag_chain) == 2:
+        return "three-imaginary-jordan-3"
+    if len(imag_chain) == 1:
+        return "three-imaginary-jordan-2"
+    distinct = len(set(values))
+    if distinct == 3:
+        return "three-imaginary-distinct"
+    if distinct == 2:
+        return "three-imaginary-two-equal"
+    raise AssertionError(f"no pattern for {linear!r}")
+
+
+def test_pattern_label_matches_the_chain_scan():
+    # every normalized 2-D and 3-D linear part with these diagonal entries
+    # and superdiagonal entries 0 or 1
+    entries = [I, ec(0, 2), ec(0, -1), ec(1), ec(-1), ec(1, 1)]
+    checked = 0
+    for dim in (2, 3):
+        for diag in itertools.product(entries, repeat=dim):
+            for upper in itertools.product((0, 1), repeat=dim - 1):
+                linear = SmallMatrix([
+                    [diag[i] if j == i else upper[i] if j == i + 1 else 0
+                     for j in range(dim)] for i in range(dim)])
+                form = normal_form_check(linear)
+                if form == NF_NOT_NORMALIZED:
+                    continue
+                imaginary = [v for v in diag if v.is_purely_imaginary()]
+                assert (_pattern_label(form, imaginary, dim)
+                        == chain_scan_label(linear)), linear
+                checked += 1
+    assert checked == 276

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bbcenter
-from bbcenter import cli, documents
+from bbcenter import cli, documents, verify
 from bbcenter.errors import ParseError
 from bbcenter.series import ExactComplex
 from bbcenter.verify import MAX_RK4_STEPS
@@ -297,6 +297,7 @@ def test_cli_rejects_bool_integers_and_uncapped_order(tmp_path, capsys, case):
     ("--starts", "0"), ("--starts", "-2"), ("--starts", "1001"),
     ("--radius", "0"), ("--radius", "-1"),
     ("--radius", "inf"), ("--radius", "nan"), ("--tol", "nan"), ("--tol", "inf"),
+    ("--tol", "0"), ("--tol", "-1"),
 ])
 def test_cli_verify_rejects_out_of_range_options(tmp_path, capsys, option, value):
     path = write_doc(tmp_path, toggle_doc(0))
@@ -328,6 +329,29 @@ def test_cli_undecodable_file_exit_two(tmp_path, capsys):
     assert cli.main(["classify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: cannot read: ") and err.count("\n") == 1
+
+
+def test_cli_verify_unreachable_tol_stops_halving_at_rounding(tmp_path, capsys,
+                                                              monkeypatch):
+    # both manifolds reach a Richardson estimate of about 35 eps |z0| at
+    # about 10^4 steps, where halving further only stirs rounding; halving
+    # until E stops falling would take 161063 steps
+    steps = []
+    rk4 = verify._rk4_batch
+
+    def counted(field, states, t_final, step):
+        steps.append(max(1, round(t_final / step)))
+        return rk4(field, states, t_final, step)
+
+    monkeypatch.setattr(verify, "_rk4_batch", counted)
+    path = write_doc(tmp_path, toggle_doc(0))
+    assert cli.main(["verify", path, "--order", "8", "--starts", "4",
+                     "--tol", "1e-30"]) == 4
+    blocks = [m["verification"] for m in json.loads(capsys.readouterr().out)
+              ["manifolds"] if "verification" in m]
+    assert len(blocks) == 2 and not any(b["pass"] for b in blocks)
+    assert not any("message" in b for b in blocks)
+    assert sum(steps) <= 50_000
 
 
 def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbcenter.errors import DimensionMismatch, NotDivisible
+from bbcenter.briot_bouquet import BBSystem, reduction_step
+from bbcenter.errors import BlockedStep, DimensionMismatch, NotDivisible
 from bbcenter.series import EC_I, ExactComplex, MultiSeries
+from bbcenter.spectra import SmallMatrix
 
 
 def ec(re, im=0):
@@ -330,6 +333,77 @@ def test_shear_zero_shift_moves_degrees(s):
         new = (exps[0] + exps[1], exps[1])
         if sum(new) <= s.order:
             assert out.coeff(new) == coeff
+
+
+def binomial_shear(s, j, shift):
+    """y_j -> x (y_j + shift) by expanding each power of y_j binomially: the
+    reference that ``shear_substitute`` must agree with."""
+    out = {}
+    for exps, coeff in s.terms.items():
+        aj = exps[j]
+        for m in range(aj + 1):
+            new = (exps[0] + aj,) + exps[1:j] + (m,) + exps[j + 1:]
+            if sum(new) <= s.order:
+                c = coeff * comb(aj, m)
+                for _ in range(aj - m):
+                    c = c * shift
+                out[new] = out.get(new, ExactComplex(0)) + c
+    return MultiSeries(s.nvars, s.order, out)
+
+
+@st.composite
+def sparse_series(draw, nvars, min_degree=0, orders=st.integers(0, 6)):
+    """A series of an order from ``orders`` with up to five terms of degree
+    at least ``min_degree``."""
+    order = draw(orders)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, order)) for _ in range(nvars))
+        if min_degree <= sum(exps) <= order:
+            terms[exps] = draw(exact_complex())
+    return MultiSeries(nvars, order, terms)
+
+
+shifts = st.one_of(st.just(ExactComplex(0)), exact_complex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shear_matches_binomial_expansion(data):
+    nvars = data.draw(st.integers(2, 4))
+    s = data.draw(sparse_series(nvars))
+    j = data.draw(st.integers(1, nvars - 1))
+    shift = data.draw(shifts)
+    assert s.shear_substitute(j, shift) == binomial_shear(s, j, shift)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reduction_step_equals_sequential_shears(data):
+    # the rows may differ in order; a term of degree >= 2 keeps a power of x
+    # after the shears and the division, so no linear y term can appear
+    n = data.draw(st.integers(1, 3))
+    entry = st.integers(-2, 3).map(ExactComplex)
+    A = SmallMatrix([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+    px = [data.draw(shifts) for _ in range(n)]
+    rows = [data.draw(sparse_series(n + 1, 2, st.integers(2, 6))) for _ in range(n)]
+    bb = BBSystem(A, px, rows)
+    try:
+        step = reduction_step(bb)
+    except BlockedStep:
+        return
+    want_px, want_rows = [], []
+    for g in rows:
+        for j, shift in enumerate(step.shifts, 1):
+            g = binomial_shear(g, j, shift)
+        g = g.divide_by_x()
+        assert not any(sum(e) == 1 and e[0] == 0 for e in g.terms)
+        want_px.append(g.coeff((1,) + (0,) * n))
+        want_rows.append(MultiSeries(n + 1, g.order, {
+            e: c for e, c in g.terms.items() if sum(e) >= 2}))
+    assert step.system.px == tuple(want_px)
+    assert step.system.nonlinear == tuple(want_rows)
+    assert step.system.A == A.shift(1)
 
 
 @settings(max_examples=40, deadline=None)

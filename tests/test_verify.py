@@ -98,6 +98,28 @@ def test_axis_manifold_verifies():
     assert result.residual_error < 1e-14
 
 
+def test_one_compiled_field_per_manifold(monkeypatch):
+    # the RK4 runs and both residual radii share one compiled field, and the
+    # residual is still looked up as the module's check_residual_numeric
+    compiled, residuals = [], []
+    compile_, residual = verify.compile_field, verify.check_residual_numeric
+
+    def counted_compile(h):
+        compiled.append(h)
+        return compile_(h)
+
+    def counted_residual(field, report, **kwargs):
+        residuals.append(field)
+        return residual(field, report, **kwargs)
+
+    monkeypatch.setattr(verify, "compile_field", counted_compile)
+    monkeypatch.setattr(verify, "check_residual_numeric", counted_residual)
+    reports = {r.chart: r for r in enumerate_centers(axis_system(), order=8)}
+    assert check_isochronous(axis_system(), reports[1], starts=4,
+                             radius=0.1).passed
+    assert len(compiled) == 1 and len(residuals) == 2
+
+
 def test_wrong_period_fails():
     reports = {r.chart: r for r in enumerate_centers(axis_system(), order=8)}
     r = reports[1]
@@ -124,7 +146,7 @@ def test_residual_decay_with_radius():
                if r.multiplicity != "none"]
     assert reports
     for r in reports:
-        res = [check_residual_numeric(h, r, grid=12, radius=rad)
+        res = [check_residual_numeric(compile_field(h), r, grid=12, radius=rad)
                for rad in (1e-1, 1e-2, 1e-3)]
         floor = 1e-300
         for big, small, ratio in ((res[0], res[1], 10.0), (res[1], res[2], 10.0)):
@@ -143,8 +165,8 @@ def test_shorter_truncation_has_larger_residual():
     long = {r.chart: r for r in enumerate_centers(h, order=8)}
     short = {r.chart: r for r in enumerate_centers(h, order=6)}
     chart = 1
-    r_long = check_residual_numeric(h, long[chart], grid=8, radius=0.1)
-    r_short = check_residual_numeric(h, short[chart], grid=8, radius=0.1)
+    r_long = check_residual_numeric(compile_field(h), long[chart], grid=8, radius=0.1)
+    r_short = check_residual_numeric(compile_field(h), short[chart], grid=8, radius=0.1)
     assert r_short > r_long * 10
 
 
@@ -158,7 +180,8 @@ def test_residual_keeps_nan():
     (report,) = [r for r in enumerate_centers(h, order=6)
                  if r.multiplicity != "none"]
     with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(check_residual_numeric(h, report, grid=8, radius=1e-2))
+        assert math.isnan(check_residual_numeric(compile_field(h), report,
+                                                 grid=8, radius=1e-2))
 
 
 def test_poincare_center_verifies():
@@ -306,7 +329,7 @@ def test_residual_matches_plain_complex_reference(h, keep, radius):
     for r in reports:
         r = dataclasses.replace(
             r, graphs={k: g.truncate(keep) for k, g in r.graphs.items()})
-        got = check_residual_numeric(h, r, grid=12, radius=radius)
+        got = check_residual_numeric(compile_field(h), r, grid=12, radius=radius)
         want = reference_residual(h, r, 12, radius)
         assert want > 0 and abs(got - want) <= 1e-12 * want, (got, want)
 
