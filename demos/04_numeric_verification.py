@@ -1,10 +1,13 @@
 """Numeric verification of the exact predictions.
 
 Two checks: integrate the field for exactly one predicted period from points
-on a computed manifold and measure the return error, at an RK4 step halved
-until the Richardson estimate of its error is far below the tolerance, and
-evaluate the invariance condition of the truncated graph on shrinking
-circles to watch the residual decay at the truncation order.
+on a computed manifold and measure the return error, and evaluate the
+invariance condition of the truncated graph on shrinking circles to watch
+the residual decay at the truncation order.  The period check uses Lawson
+RK4, which carries the rotation of the linear part exactly, at a step halved
+from 16 steps per period until the Richardson estimate of its error is far
+below the tolerance; ``integrate``, used for the order table, is classical
+RK4.
 """
 
 import math

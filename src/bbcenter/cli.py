@@ -27,7 +27,7 @@ from .centers import enumerate_centers
 from .errors import (BBCenterError, NotNormalized, ParseError,
                      UncertifiableSpectrum)
 from .spectra import numeric_spectrum
-from .verify import MAX_RK4_STEPS, START_STEP, check_isochronous
+from .verify import MAX_RK4_STEPS, STEPS_PER_PERIOD, check_isochronous
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -70,8 +70,12 @@ def _build_parser():
         if verify:
             positive = _checked(float, lambda v: 0 < v < math.inf,
                                 "a positive finite number")
-            p.add_argument("--radius", default=1e-2, type=positive)
-            p.add_argument("--tol", default=1e-6, type=positive)
+            p.add_argument("--radius", default=1e-2, type=positive,
+                           help="sampling radius of the RK4 starts and the "
+                                "residual, positive and finite (default 1e-2)")
+            p.add_argument("--tol", default=1e-6, type=positive,
+                           help="bound on return error + RK4 error estimate, "
+                                "positive and finite (default 1e-6)")
             p.add_argument("--starts", default=20, type=_checked(
                 int, lambda v: 1 <= v <= MAX_STARTS, f"an integer from 1 to {MAX_STARTS}"),
                 help=f"RK4 start points per manifold, 1 to {MAX_STARTS} (default 20)")
@@ -79,11 +83,12 @@ def _build_parser():
     common(sub.add_parser("classify", help="enumerate center manifolds"))
     common(sub.add_parser("series", help="enumerate and print series coefficients"))
     verify_description = (
-        "enumerate and verify numerically: RK4 over one period from step "
-        f"min({START_STEP:g}, 2/|A|), halved until the Richardson estimate E is "
-        "below tol/100 or 64 eps |z0|, or stops falling; pass iff return error "
-        "+ E <= tol (tol > 0) and the residual decays at the series order; at most "
-        f"{MAX_RK4_STEPS} steps per manifold")
+        "enumerate and verify numerically: Lawson RK4 (the rotation "
+        "i Im(diag A) exact) over one period from step "
+        f"min(period/{STEPS_PER_PERIOD}, 2/|A|), halved until the Richardson "
+        "estimate E is below tol/100 or 64 eps |z0|, or stops falling; pass iff "
+        "return error + E <= tol and the residual decays at the series order; "
+        f"at most {MAX_RK4_STEPS} steps per manifold")
     common(sub.add_parser(
         "verify", help="enumerate and verify numerically (RK4, step from --tol)",
         description=verify_description), verify=True)

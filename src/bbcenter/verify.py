@@ -5,19 +5,23 @@ period of the isochronous family on it; this module checks both claims in
 double precision.  One sampler gives the truncated graph z(t) and its slope
 dz/dt as arrays on the circle |t| = radius: the points start RK4 runs that
 must return to them after the predicted period, and with the slopes they
-give the invariance residual in one field call.  The RK4 step is chosen
-from the tolerance: runs at h and h/2 give the Richardson estimate
-E = max|z_h - z_{h/2}| / 15 of the finer run's error, and h halves until E
-is far below the tolerance, stops falling or reaches the rounding level of
-the start points, so a pass bounds the integration error as well as the
-return error.  The residual is sampled at two radii, where a graph exact to
-order N must shrink like radius^(N+1).  Each manifold compiles its field
-once, to gathered monomials and one coefficient matrix.  A graph that
-cannot be sampled inside the radius, a state that leaves the divergence
-bound or stops being finite, or halving that reaches the step cap fails the
-check; a coefficient beyond double range raises ``BBCenterError``.  numpy is
-imported by the functions that use it, so importing the package does not
-load it.
+give the invariance residual in one field call.  The runs are Lawson RK4
+(RK4 in the frame that turns with the imaginary part of the diagonal of
+the normal-form linear part), so the rotation that sets the period is
+integrated exactly and only the rest of the field limits the step; the
+rest keeps any hyperbolic part, under RK4's stability bound.  The step is
+chosen from the tolerance: runs at h and h/2 give the Richardson estimate
+E = max|z_h - z_{h/2}| / 15 of the finer run's error, and h halves from
+16 steps per period until E is far below the tolerance, stops falling or
+reaches the rounding level of the start points, so a pass bounds the
+integration error as well as the return error.  The residual is sampled at
+two radii, where a graph exact to order N must shrink like radius^(N+1).
+Each manifold compiles its field once, to gathered monomials and one
+coefficient matrix.  A graph that cannot be sampled inside the radius, a
+state that leaves the divergence bound or stops being finite, or halving
+that reaches the step cap fails the check; a coefficient beyond double
+range raises ``BBCenterError``.  numpy is imported by the functions that
+use it, so importing the package does not load it.
 """
 
 import math
@@ -27,7 +31,9 @@ from dataclasses import dataclass
 from .errors import BBCenterError, IntegrationDiverged
 
 DIVERGENCE_BOUND = 1e3
-START_STEP = 2e-2  # lowered to 2 / |A|_inf, inside RK4's stability region
+# the first run takes this many steps per period, or more when 2 / |A|_inf,
+# the edge of RK4's stability region, is the smaller step
+STEPS_PER_PERIOD = 16
 MAX_RK4_STEPS = 100_000  # all the RK4 runs of one manifold together
 RESIDUAL_TOL = 1e-6
 # a residual below RESIDUAL_FLOOR * radius * max(1, |A|_inf) is rounding; above
@@ -35,9 +41,9 @@ RESIDUAL_TOL = 1e-6
 # 2^(N + 1 - RESIDUAL_SLACK)
 RESIDUAL_FLOOR = 256 * sys.float_info.epsilon
 RESIDUAL_SLACK = 1
-# halving also stops at E <= ESTIMATE_FLOOR * max|z0|: RK4 misses a rotation's
-# period by ~80 / n^4 relative in n steps, so E = 64 eps needs n ~ 10^4 steps,
-# whose rounding is already ~sqrt(n) eps = 100 eps; halving cannot lower it
+# halving also stops at E <= ESTIMATE_FLOOR * max|z0|: there E is the
+# rounding of the two runs (about sqrt(n) eps in n steps), which halving
+# cannot lower
 ESTIMATE_FLOOR = 64 * sys.float_info.epsilon
 
 
@@ -101,21 +107,44 @@ def compile_field(h):
     return field
 
 
-def _rk4_batch(field, states, t_final, step):
+def _rk4_batch(field, rotation, states, t_final, step):
+    """Lawson RK4: classical RK4 on G(z) = F(z) - S z in the frame that turns
+    with the diagonal ``rotation`` S, so S itself is integrated exactly.
+
+    With p = e^{hS/2} a step is k1 = G(z), k2 = G(p(z + h/2 k1)),
+    k3 = G(pz + h/2 k2), k4 = G(p^2 z + h p k3) and
+    z+ = p^2 z + h/6 (p^2 k1 + 2p(k2 + k3) + k4); with S = 0 it is classical
+    RK4.  The state is held as w = e^{-tS} z and the phase e^{tS} is taken
+    from t at every step, so the rounding of p does not build up over the
+    run.
+    """
+    import numpy as np
     n_steps = max(1, round(t_final / step))
     h = t_final / n_steps
-    z = states
+    half = np.exp(0.5 * h * rotation)  # p
+    to_k2, to_k4 = 0.5 * h * half, h * half
+    with_k1, with_k23 = (h / 6.0) * half * half, (h / 3.0) * half
+
+    def g(u):
+        return field(u) - rotation * u
+
+    w, now = states, 1.0  # z = now * w, now = e^{tS}
     for k in range(n_steps):
-        k1 = field(z)
-        k2 = field(z + 0.5 * h * k1)
-        k3 = field(z + 0.5 * h * k2)
-        k4 = field(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (abs(z).max() <= DIVERGENCE_BOUND):  # a NaN state fails too
+        z = now * w
+        turned = half * z  # p z
+        now = np.exp((k + 1) * h * rotation)
+        k1 = g(z)
+        k2 = g(turned + to_k2 * k1)
+        k3 = g(turned + (0.5 * h) * k2)
+        turned = now * w  # p^2 z
+        k4 = g(turned + to_k4 * k3)
+        w = w + now.conjugate() * (
+            with_k1 * k1 + with_k23 * (k2 + k3) + (h / 6.0) * k4)
+        if not (abs(w).max() <= DIVERGENCE_BOUND):  # a NaN state fails too
             raise IntegrationDiverged(
                 f"state norm exceeded {DIVERGENCE_BOUND} or is not finite "
                 f"at t = {(k + 1) * h:.6g}")
-    return z
+    return now * w
 
 
 def integrate(h, z0, t_final, step):
@@ -125,7 +154,7 @@ def integrate(h, z0, t_final, step):
     if step <= 0 or t_final <= 0:
         raise ValueError("step and final time must be positive")
     z = np.asarray(z0, dtype=complex).reshape(1, -1)
-    return _rk4_batch(compile_field(h), z, t_final, step)[0]
+    return _rk4_batch(compile_field(h), 0.0, z, t_final, step)[0]
 
 
 def _sample_graph(report, t):
@@ -162,34 +191,39 @@ def _manifold_starts(h, report, starts, radius):
         t[outside] *= 0.5  # the truncated graph bulged out; move inward
 
 
-def _halving_runs(field, z0, period, n_steps, tol):
+def _halving_runs(field, rotation, z0, period, n_steps, tol):
     """RK4 runs from z0 over one period in n_steps, 2 n_steps, 4 n_steps ...
 
     Each pair of runs gives the Richardson estimate E = max|z_h - z_{h/2}| / 15
     of the finer run's error.  Returns the finer end state, E, its step and
-    a message: empty once E <= tol / 100 or E stops falling, else naming the
-    cap when the next halving would pass ``MAX_RK4_STEPS`` steps, else empty
-    once E <= ``ESTIMATE_FLOOR`` max|z0|.  The caller checks that the first
-    pair fits the cap.
+    a message: empty once E <= tol / 100, E stops falling or
+    E <= ``ESTIMATE_FLOOR`` max|z0|, else naming the cap when the next
+    halving would pass ``MAX_RK4_STEPS`` steps.  The caller checks that the
+    first pair fits the cap.
     """
-    coarse = _rk4_batch(field, z0, period, period / n_steps)
+    coarse = _rk4_batch(field, rotation, z0, period, period / n_steps)
     used, previous = n_steps, math.inf
     while True:
         n_steps *= 2
-        fine = _rk4_batch(field, z0, period, period / n_steps)
+        fine = _rk4_batch(field, rotation, z0, period, period / n_steps)
         used += n_steps
         estimate = float(abs(fine - coarse).max()) / 15
         step = period / n_steps
-        if estimate <= tol / 100 or estimate >= previous / 4:
+        if (estimate <= tol / 100 or estimate >= previous / 4
+                or estimate <= ESTIMATE_FLOOR * abs(z0).max()):
             return fine, estimate, step, ""
         if used + 2 * n_steps > MAX_RK4_STEPS:
             return fine, estimate, step, (
                 f"halving the RK4 step below {step:.3g} would pass the cap of "
                 f"{MAX_RK4_STEPS} steps; the error estimate there is "
                 f"{estimate:.3g}, tol {tol:g}")
-        if estimate <= ESTIMATE_FLOOR * abs(z0).max():
-            return fine, estimate, step, ""
         coarse, previous = fine, estimate
+
+
+def _start_steps(period, norm):
+    """Steps of the first run: the start step is the smaller of
+    period / ``STEPS_PER_PERIOD`` and 2 / |A|_inf."""
+    return max(STEPS_PER_PERIOD, math.ceil(period * norm / 2))
 
 
 def _residual_decay(field, report, grid, radius, norm):
@@ -213,29 +247,32 @@ def _residual_decay(field, report, grid, radius, norm):
 def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
     """Integrate sampled manifold points for one predicted period each.
 
-    RK4 starts at step min(``START_STEP``, 2 / |A|_inf) for the linear part
-    A, the largest step that keeps every h*lambda inside RK4's stability
-    region, and halves while the Richardson estimate E of the finer run's
-    error is above tol / 100 and ``ESTIMATE_FLOOR`` max|z0| and still
-    falling.  The check passes iff every start returns to itself with return
-    error + E <= ``tol`` and the invariance residual is at most
-    ``RESIDUAL_TOL`` and, above its rounding floor, shrinks at least like
-    radius^(N + 1 - ``RESIDUAL_SLACK``) from radius to radius / 2 for a graph
-    of order N.  A graph that cannot be sampled inside the radius,
-    divergence (a non-finite state included) and halving that would pass
-    ``MAX_RK4_STEPS`` steps are reported as a failed result with a message,
-    not as an exception.  ``BBCenterError`` is raised when the first two runs
-    alone need more than ``MAX_RK4_STEPS`` steps, before any work, and for a
-    coefficient or value beyond double range.
+    Lawson RK4 turns with S = i Im(diag A) for the linear part A, so the
+    rotation is exact, and starts at step min(period / ``STEPS_PER_PERIOD``,
+    2 / |A|_inf); the second bound keeps every h*lambda of the rest of the
+    field inside RK4's stability region.  The step halves while the
+    Richardson estimate E of the finer run's error is above tol / 100 and
+    ``ESTIMATE_FLOOR`` max|z0| and still falling.  The check passes iff
+    every start returns to itself with return error + E <= ``tol`` and the
+    invariance residual is at most ``RESIDUAL_TOL`` and, above its rounding
+    floor, shrinks at least like radius^(N + 1 - ``RESIDUAL_SLACK``) from
+    radius to radius / 2 for a graph of order N.  A graph that cannot be
+    sampled inside the radius, divergence (a non-finite state included) and
+    halving that would pass ``MAX_RK4_STEPS`` steps are reported as a failed
+    result with a message, not as an exception.  ``BBCenterError`` is
+    raised when the first two runs alone need more than ``MAX_RK4_STEPS``
+    steps, before any work, and for a coefficient or value beyond double
+    range.
     """
     import numpy as np
     if report.multiplicity == "none":
         raise ValueError("cannot verify a non-existence verdict")
     period = report.period
     try:
-        norm = max(sum(map(abs, row)) for row in h.linear.to_complex_array())
-        start = START_STEP if norm * START_STEP <= 2 else 2 / norm
-        n_steps = max(1, math.ceil(period / start))
+        linear = h.linear.to_complex_array()
+        norm = max(sum(map(abs, row)) for row in linear)
+        rotation = 1j * np.array([row[i].imag for i, row in enumerate(linear)])
+        n_steps = _start_steps(period, norm)
         if 3 * n_steps > MAX_RK4_STEPS:
             raise BBCenterError(
                 f"period {period:.6g} needs {3 * n_steps} RK4 steps for its "
@@ -251,7 +288,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
                     "the truncated graph cannot be sampled inside radius "
                     f"{radius:g}")
             z1, estimate, step, message = _halving_runs(
-                field, z0, period, n_steps, tol)
+                field, rotation, z0, period, n_steps, tol)
             return_error = float(abs(z1 - z0).max())
             residual_error, residual_message = _residual_decay(
                 field, report, max(starts, 8), radius, norm)

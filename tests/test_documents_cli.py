@@ -331,17 +331,28 @@ def test_cli_undecodable_file_exit_two(tmp_path, capsys):
     assert err.startswith(f"error: {path}: cannot read: ") and err.count("\n") == 1
 
 
+def test_cli_verify_help_states_radius_and_tol(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "positive and finite (default 1e-2)" in text
+    assert "positive and finite (default 1e-6)" in text
+    assert f"min(period/{verify.STEPS_PER_PERIOD}, 2/|A|)" in text
+
+
 def test_cli_verify_unreachable_tol_stops_halving_at_rounding(tmp_path, capsys,
                                                               monkeypatch):
-    # both manifolds reach a Richardson estimate of about 35 eps |z0| at
-    # about 10^4 steps, where halving further only stirs rounding; halving
-    # until E stops falling would take 161063 steps
+    # both manifolds are exact rotations, so the first pair's Richardson
+    # estimate is already at the rounding level of the starts, where halving
+    # further only stirs rounding; halving until E stops falling would take
+    # many more steps
     steps = []
     rk4 = verify._rk4_batch
 
-    def counted(field, states, t_final, step):
+    def counted(field, rotation, states, t_final, step):
         steps.append(max(1, round(t_final / step)))
-        return rk4(field, states, t_final, step)
+        return rk4(field, rotation, states, t_final, step)
 
     monkeypatch.setattr(verify, "_rk4_batch", counted)
     path = write_doc(tmp_path, toggle_doc(0))
@@ -355,38 +366,69 @@ def test_cli_verify_unreachable_tol_stops_halving_at_rounding(tmp_path, capsys,
 
 
 def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):
-    # x' = (i/1000) x, y' = -y + x^2: period 2000 pi, 942480 steps for the
-    # first two runs at 0.02 and 0.01
+    # x' = (i/1000) x, y' = -50 y + x^2: period 2000 pi at the stability
+    # bound 2/50, 157080 + 314160 = 471240 steps for the first two runs
     doc = {"variables": ["x", "y"], "equations": [
         [mono((0, 1, 1, 1000), (1, 0))],
-        [mono(-1, (0, 1)), mono(1, (2, 0))],
+        [mono(-50, (0, 1)), mono(1, (2, 0))],
     ]}
     path = write_doc(tmp_path, doc)
     start = time.perf_counter()
     assert cli.main(["verify", path]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert f"error: {path}:" in err and "942480 RK4 steps" in err
+    assert f"error: {path}:" in err and "471240 RK4 steps" in err
     assert str(MAX_RK4_STEPS) in err
 
 
-def test_cli_verify_halving_cap_is_a_failure_not_a_refusal(tmp_path, capsys):
-    # x' = ix + y^2, y' = -5000 y + x^2: the start step is 2/5000, whose first
-    # two runs take 47124 steps; an unreachable tolerance asks for a third
-    # run of 62832 more, past the cap
-    doc = {"variables": ["x", "y"], "equations": [
+def stiff_doc(lam):
+    """x' = ix + y^2, y' = lam y + x^2"""
+    return {"variables": ["x", "y"], "equations": [
         [mono(i_times(), (1, 0)), mono(1, (0, 2))],
-        [mono(-5000, (0, 1)), mono(1, (2, 0))],
+        [mono(lam, (0, 1)), mono(1, (2, 0))],
     ]}
-    path = write_doc(tmp_path, doc)
-    assert cli.main(["verify", path, "--order", "8", "--tol", "1e-30"]) == 4
+
+
+def test_cli_verify_halving_cap_is_a_failure_not_a_refusal(tmp_path, capsys,
+                                                           monkeypatch):
+    # lam = -1 at radius 0.3: the estimate still falls 16x per halving at
+    # 256 steps (E ~ 4e-11), and the next halving passes a cap of 500
+    monkeypatch.setattr(verify, "MAX_RK4_STEPS", 500)
+    path = write_doc(tmp_path, stiff_doc(-1))
+    assert cli.main(["verify", path, "--order", "8", "--radius", "0.3",
+                     "--tol", "1e-30"]) == 4
     captured = capsys.readouterr()
     assert captured.err == ""
     (block,) = [m["verification"] for m in json.loads(captured.out)["manifolds"]
                 if "verification" in m]
     assert block["pass"] is False
-    assert f"cap of {MAX_RK4_STEPS} steps" in block["message"]
+    assert "cap of 500 steps" in block["message"]
     assert "the error estimate there is " in block["message"]
+
+
+def test_cli_verify_rounding_level_estimate_does_not_blame_the_cap(
+        tmp_path, capsys, monkeypatch):
+    # lam = -5000: the start step is 2/5000, whose first two runs take 47124
+    # steps and leave E at the rounding level of the starts; an unreachable
+    # tolerance fails there, and the cap (a third run would pass it) is not
+    # the cause
+    results = []
+    check = cli.check_isochronous
+
+    def recorded(*args, **kwargs):
+        results.append(check(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "check_isochronous", recorded)
+    path = write_doc(tmp_path, stiff_doc(-5000))
+    assert cli.main(["verify", path, "--order", "8", "--tol", "1e-30"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (block,) = [m["verification"] for m in json.loads(captured.out)["manifolds"]
+                if "verification" in m]
+    assert block["pass"] is False and "message" not in block
+    (result,) = results
+    assert result.error_estimate <= 64 * sys.float_info.epsilon * 1e-2
 
 
 def test_cli_verify_strict_tolerance_on_the_verify_corpus(monkeypatch, capsys):

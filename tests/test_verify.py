@@ -14,7 +14,7 @@ from bbcenter.errors import IntegrationDiverged
 from bbcenter.series import ExactComplex, MultiSeries
 from bbcenter.spectra import SmallMatrix
 from bbcenter import verify
-from bbcenter.verify import (START_STEP, _halving_runs, _rk4_batch,
+from bbcenter.verify import (_halving_runs, _rk4_batch, _start_steps,
                              check_isochronous, check_residual_numeric,
                              compile_field, integrate)
 
@@ -56,8 +56,8 @@ def test_divergence_guard():
 def test_divergence_guard_catches_nan():
     # NaN compares false with the bound, so the guard must not read "> bound"
     with pytest.raises(IntegrationDiverged, match="not finite"):
-        _rk4_batch(lambda z: z * math.nan, np.ones((2, 1), dtype=complex),
-                   1.0, 0.1)
+        _rk4_batch(lambda z: z * math.nan, 0.0,
+                   np.ones((2, 1), dtype=complex), 1.0, 0.1)
 
 
 def test_rk4_order_on_rotation():
@@ -81,6 +81,33 @@ def test_period_scaling_consistency():
     e1 = abs(integrate(base, [0.5], 2 * math.pi, 1e-3)[0] - 0.5)
     e2 = abs(integrate(scaled, [0.5], 2 * math.pi / 3, 1e-3 / 3)[0] - 0.5)
     assert abs(e1 - e2) < 1e-10
+
+
+def test_integrate_is_classical_rk4():
+    # on x' = ix each classical RK4 step multiplies by the degree-4 Taylor
+    # polynomial of e^{ih}; a step exact in the rotation would return 1
+    for n in (8, 32, 100):
+        h = 2 * math.pi / n
+        amplification = sum((1j * h) ** k / math.factorial(k) for k in range(5))
+        end = integrate(rotation_1d(), [1.0], 2 * math.pi, h)[0]
+        assert abs(end - amplification ** n) <= 64 * n * sys.float_info.epsilon
+        assert abs(end - 1.0) > 1e-3 * h ** 4
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 1000)])
+@pytest.mark.parametrize("chart", [0, 1])
+def test_rotation_is_exact(scale, chart):
+    # diag(i, 3i) scaled: periods 2 pi / 3, 2 pi, 2000 pi / 3 and 2000 pi;
+    # the Lawson step carries the whole field, so the first pair of runs
+    # (16 and 32 steps) returns to z0 at the rounding level and is accepted
+    h = HoloSystem(SmallMatrix.diagonal([ec(0, scale), ec(0, 3 * scale)]),
+                   [MultiSeries.zero(2, 8)] * 2)
+    (report,) = [r for r in enumerate_centers(h, order=8) if r.chart == chart]
+    result = check_isochronous(h, report, starts=8, radius=0.1)
+    assert result.passed, result
+    assert result.step == pytest.approx(result.predicted_period / 32)
+    assert result.return_error <= 64 * sys.float_info.epsilon * 0.1
+    assert result.error_estimate <= 64 * sys.float_info.epsilon * 0.1
 
 
 def axis_system():
@@ -375,15 +402,17 @@ def test_graph_that_ignores_an_obstruction_fails(p):
 
 
 def test_halving_that_reaches_the_cap_fails_with_a_message(monkeypatch):
-    # chart y of diag(i, 3i, 1): period 2 pi / 3 in 105 + 210 steps at the
-    # start step; the next halving needs 420 more, past a cap of 500
+    # chart x of DEMO_3D at radius 0.1: period 2 pi in 16, 32, ... 256 steps
+    # (496 in all), where E = 5e-10 is still falling 16x per halving; the
+    # next halving needs 512 more, past a cap of 500
     monkeypatch.setattr(verify, "MAX_RK4_STEPS", 500)
-    reports = {r.chart: r for r in enumerate_centers(axis_system(), order=8)}
-    result = check_isochronous(axis_system(), reports[1], starts=4,
+    reports = {r.chart: r for r in enumerate_centers(DEMO_3D, order=8)}
+    result = check_isochronous(DEMO_3D, reports[0], starts=4,
                                radius=0.1, tol=1e-30)
     assert not result.passed
     assert "cap of 500 steps" in result.message
     assert f"error estimate there is {result.error_estimate:.3g}" in result.message
+    assert result.step == pytest.approx(2 * math.pi / 256)
     assert math.isfinite(result.return_error) and result.error_estimate > 0
 
 
@@ -392,8 +421,9 @@ def test_pass_counts_the_error_estimate_against_tol(monkeypatch):
     # tol: a pass never rests on integration error
     halving = verify._halving_runs
 
-    def pessimistic(field, z0, period, n_steps, tol):
-        fine, _, step, message = halving(field, z0, period, n_steps, tol)
+    def pessimistic(field, rotation, z0, period, n_steps, tol):
+        fine, _, step, message = halving(field, rotation, z0, period, n_steps,
+                                         tol)
         return fine, tol, step, message
 
     monkeypatch.setattr(verify, "_halving_runs", pessimistic)
@@ -404,21 +434,50 @@ def test_pass_counts_the_error_estimate_against_tol(monkeypatch):
     assert result.message == ""
 
 
+@st.composite
+def fast_or_stiff_fields(draw):
+    """fields_and_inputs with each diagonal entry shifted by a rotation
+    i omega, |omega| <= 200, a hyperbolic lam down to -5000 or nothing, so
+    the Lawson step turns with S = i Im(diag A) and RK4 keeps lam."""
+    h, shape, points = draw(fields_and_inputs())
+    shift = st.one_of(
+        st.just(ec(0)),
+        st.builds(lambda w, half: ec(0, Fraction(w) + half),
+                  st.integers(-200, 200), st.sampled_from([0, Fraction(1, 2)])),
+        st.sampled_from([ec(-50), ec(-500), ec(-5000)]))
+    rows = [list(row) for row in h.linear.rows]
+    for i in range(h.dim):
+        rows[i][i] = rows[i][i] + draw(shift)
+    return HoloSystem(SmallMatrix(rows), h.nonlinear), shape, points
+
+
 @settings(max_examples=100, deadline=None)
-@given(fields_and_inputs(), st.floats(0.25, 1.0),
+@given(fast_or_stiff_fields(), st.floats(0.25, 1.0),
        st.sampled_from([1e-4, 1e-6, 1e-8]))
+@example((stiff_system(-5000), (2,), [[1, 1]]), 1.0, 1e-8)
+@example((HoloSystem(SmallMatrix.diagonal([ec(0, 200), ec(-3, 200)]),
+                     stiff_system(-5000).nonlinear), (2,), [[1, 1j]]),
+         0.25, 1e-8)
 def test_richardson_estimate_bounds_the_finer_run(case, period, tol):
-    # the accepted run's error, measured against a run at half its step, is
-    # at most twice the estimate or at the rounding floor of the steps taken
+    # from the start rule's step, the accepted Lawson run's error, measured
+    # against a run at half its step, is at most twice the estimate or at
+    # the rounding floor of the steps taken
     h, _, points = case
     z0 = np.array(points, dtype=complex).reshape(-1, h.dim)
     z0 = 0.05 * z0 / max(1.0, float(abs(z0).max()))
+    linear = np.array(h.linear.to_complex_array())
+    rotation = 1j * linear.diagonal().imag
+    norm = float(abs(linear).sum(axis=1).max())
+    # runs stop after at most 100 start steps of 2 / |A|_inf, by which time a
+    # stiff direction has decayed and a fast one turned up to about 30 times
+    period = min(period, 200 / max(norm, 200))
+    n_steps = _start_steps(period, norm)
     field = compile_field(h)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             fine, estimate, step, _ = _halving_runs(
-                field, z0, period, math.ceil(period / START_STEP), tol)
-            finer = _rk4_batch(field, z0, period, step / 2)
+                field, rotation, z0, period, n_steps, tol)
+            finer = _rk4_batch(field, rotation, z0, period, step / 2)
     except IntegrationDiverged:
         return
     error = float(abs(fine - finer).max())
