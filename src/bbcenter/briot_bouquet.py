@@ -15,20 +15,25 @@ u -> x (u + shift) that lowers every eigenvalue by one.  ``classify`` does
 not use it; the recursion reads the same obstruction values directly.
 
 Every decision in this module is an exact zero test; nothing is tolerant.
+``exact_work`` counts the work of a solve before it starts, and ``classify``
+refuses more than ``MAX_EXACT_WORK``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (BlockedStep, DimensionMismatch, OrderTooSmall,
-                     ResonantEigenvalue)
-from .series import EC_ONE, EC_ZERO, ExactComplex, MultiSeries
+from .errors import (BBCenterError, BlockedStep, DimensionMismatch,
+                     OrderTooSmall, ResonantEigenvalue)
+from .series import EC_ONE, EC_ZERO, ExactComplex, MultiSeries, _dot
 from .spectra import SmallMatrix, positive_integer_eigenvalues, solve_affine
 
 KIND_NO_SOLUTION = "no_solution"
 KIND_UNIQUE = "unique"
 KIND_FAMILY = "family"
+
+# the most exact-layer work (see ``exact_work``) one document may ask for
+MAX_EXACT_WORK = 2_000_000
 
 # witnesses on rows 0-1 of the first two resonant orders keep the paper's
 # names; every other one is r{k}[{i}] (order k, row i), so none can collide
@@ -119,6 +124,45 @@ class ReductionStep:
     px_entry: tuple
 
 
+def _power_recipes(exponents, n):
+    """y^e = y_j * y^parent for each e in ``exponents`` and every parent it
+    needs, as (e, j, parent) with parents listed before their products; 1
+    and the units y_j need none."""
+    known = {(0,) * n} | {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    recipes = []
+
+    def track(e):
+        if e not in known:
+            j = next(i for i, a in enumerate(e) if a)
+            parent = e[:j] + (e[j] - 1,) + e[j + 1:]
+            track(parent)
+            known.add(e)
+            recipes.append((e, j, parent))
+
+    for e in exponents:
+        track(e)
+    return recipes
+
+
+def exact_work(bb, order, chart=None):
+    """The exact-layer work of solving ``bb`` to ``order``, counted before
+    solving: tracked powers y^e (1 and the units included) times order^2,
+    for their convolutions and the chart correction, plus row terms times
+    order, for the coefficients of f.  ``MAX_EXACT_WORK`` caps it."""
+    rows = [row.terms for row in bb.nonlinear] + ([] if chart is None else [chart.terms])
+    tracked = _power_recipes({e[1:] for row in rows for e in row}, bb.n)
+    return (len(tracked) + bb.n + 1) * order * order + sum(map(len, rows)) * order
+
+
+def check_exact_work(work):
+    """Refuse work past ``MAX_EXACT_WORK`` before any of it is done."""
+    if work > MAX_EXACT_WORK:
+        raise BBCenterError(
+            f"the exact solve needs {work} units of work (tracked powers x "
+            f"order^2 + terms x order); the cap is {MAX_EXACT_WORK}: lower "
+            "--order or the degree of the system")
+
+
 def _solve(bb, order, chart=None):
     """Solve (k I - A) c_k = r_k for k = 1..order, the whole trichotomy at once.
 
@@ -136,50 +180,43 @@ def _solve(bb, order, chart=None):
     order-q coefficient of delta, needs only c_1..c_q, so r_k gains
     -sum_{q<k} (k - q + 1) delta_q c_{k-q}; the chart's graph is x y(x).
     Without a chart row delta is zero.
+
+    Every sum of the order loop is one fused ``_dot``, reduced by a single
+    gcd: the convolution sum_m y_j[m] y^parent[k - m] of each tracked power,
+    the coefficient of a row's terms, and the chart correction with its
+    integer weights -(k - q + 1).  The reduced values are unique, so this
+    changes no coefficient, witness or verdict.
     """
     n = bb.n
-    rows = [[(e[0], e[1:], c) for e, c in row.terms.items()] for row in bb.nonlinear]
-    chart_terms = ([] if chart is None
-                   else [(e[0], e[1:], c) for e, c in chart.terms.items()])
+    terms = [row.terms for row in bb.nonlinear]
+    chart_terms = {} if chart is None else chart.terms
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     powers = {(0,) * n: [EC_ONE], **{u: [EC_ZERO] for u in units}}
     recipes = []  # y^e = y_j * y^parent, parents listed before their products
+    for e, j, parent in _power_recipes(
+            {e[1:] for row in terms + [chart_terms] for e in row}, n):
+        powers[e] = [EC_ZERO]
+        recipes.append((powers[e], powers[units[j]], powers[parent], sum(parent)))
+    # each term of f as (x exponent, coefficients of its power of y, coeff)
+    rows = [[(e[0], powers[e[1:]], c) for e, c in row.items()] for row in terms]
+    chart_row = [(e[0], powers[e[1:]], c) for e, c in chart_terms.items()]
 
-    def track(e):
-        if e not in powers:
-            j = next(i for i, a in enumerate(e) if a)
-            parent = e[:j] + (e[j] - 1,) + e[j + 1:]
-            track(parent)
-            powers[e] = [EC_ZERO]
-            recipes.append((powers[e], powers[units[j]], powers[parent], sum(parent)))
-
-    def coefficient(terms, k, total=EC_ZERO):
-        for e0, e, coeff in terms:
-            p = powers[e]
-            if 0 <= k - e0 < len(p) and not p[k - e0].is_zero():
-                total = total + coeff * p[k - e0]
-        return total
-
-    for row in rows + [chart_terms]:
-        for _, e, _ in row:
-            track(e)
+    def coefficient(row, k, total=EC_ZERO):
+        return _dot(((c, p[k - e0]) for e0, p, c in row if 0 <= k - e0 < len(p)),
+                    total)
 
     table, slots, witnesses, resonances, delta = [], [], {}, 0, [EC_ZERO]
     for k in range(1, order + 1):
         for out, y, parent, low in recipes:
-            total = EC_ZERO
-            for m in range(1, k - low + 1):
-                if not (y[m].is_zero() or parent[k - m].is_zero()):
-                    total = total + y[m] * parent[k - m]
-            out.append(total)
+            # sum over m of y_j[m] parent[k - m], for m = 1 .. k - low
+            out.append(_dot(zip(y[1:], reversed(parent[low:k]))))
         rhs = []
         for i, row in enumerate(rows):
-            total = coefficient(row, k, bb.px[i] if k == 1 else EC_ZERO)
             y = powers[units[i]]
-            for q in range(1, k):
-                if not (delta[q].is_zero() or y[k - q].is_zero()):
-                    total = total - delta[q] * y[k - q] * (k - q + 1)
-            rhs.append(total)
+            # minus the chart correction sum over q of (k - q + 1) delta_q y[k - q]
+            rhs.append(_dot(zip(delta[1:k], reversed(y[1:k])),
+                            coefficient(row, k, bb.px[i] if k == 1 else EC_ZERO),
+                            range(-k, -1)))
         solved = solve_affine(bb.A.shift(k).rows, [-v for v in rhs])
         if solved is None or solved[1]:
             for i, value in enumerate(rhs):
@@ -194,7 +231,7 @@ def _solve(bb, order, chart=None):
         for u, c in zip(units, solved[0]):
             powers[u].append(c)
         table.append(solved[0])
-        delta.append(coefficient(chart_terms, k))
+        delta.append(coefficient(chart_row, k))
     reps = tuple(MultiSeries(1, order, {(k,): powers[u][k] for k in range(1, order + 1)})
                  for u in units)
     solution = FormalSolution(order, tuple(table), tuple(slots), reps)
@@ -211,6 +248,7 @@ def formal_solve_nonresonant(bb, order):
         if k <= order:
             raise ResonantEigenvalue(
                 f"{k} is an eigenvalue of the linear part; use classify()")
+    check_exact_work(exact_work(bb, order))
     return _solve(bb, order).solution
 
 
@@ -269,6 +307,7 @@ def classify(bb, order=12, chart=None):
     integers = positive_integer_eigenvalues(bb.A)
     if integers and order < integers[-1] + 2:
         raise OrderTooSmall(order, integers[-1], integers[-1] + 2)
+    check_exact_work(exact_work(bb, order, chart))
     return _solve(bb, order, chart)
 
 

@@ -283,25 +283,32 @@ def enumerate_centers(h, order=12):
             order=order,
         )]
 
-    reports = []
+    charts = []
     for m in imag_idx:
-        reports.append(_chart_report(h, m, pattern, order))
+        lam, deps, A, constants, slope_free = _chart_linear(h, m)
+        excluded = any(not c.is_zero() for c in constants)
+        problem = None if excluded else _chart_system(h, m, lam, deps, A, order)
+        charts.append((m, deps, constants, slope_free, problem))
+    # the work of all the charts is refused before any chart is solved
+    problems = [c[-1] for c in charts if c[-1] is not None]
+    bb_engine.check_exact_work(sum(bb_engine.exact_work(system, order - 1, chart)
+                                   for system, chart in problems))
+    reports = [_chart_report(h, pattern, order, *c) for c in charts]
     reports.sort(key=lambda r: (r.multiplicity == MULT_NONE, r.chart))
     return reports
 
 
-def _chart_report(h, m, pattern, order):
+def _chart_report(h, pattern, order, m, deps, constants, slope_free, problem):
     common = dict(chart=m, pattern=pattern, order=order,
                   period_factor=_period_factor(h, h.linear.entry(m, m).im))
-    lam, deps, A, constants, slope_free = _chart_linear(h, m)
-    if any(not c.is_zero() for c in constants):
+    if problem is None:
         witnesses = {
             f"constant[{AXIS_NAMES[k]}]": c
             for k, c in zip(deps, constants) if not c.is_zero()}
         return CenterManifoldReport(
             tangency=_tangency([m]), multiplicity=MULT_NONE,
             theorem_tag=f"{pattern}/chart-excluded", obstructions=witnesses, **common)
-    system, chart = _chart_system(h, m, lam, deps, A, order)
+    system, chart = problem
     try:
         verdict = bb_engine.classify(system, order - 1, chart=chart)
     except OrderTooSmall as err:

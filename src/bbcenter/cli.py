@@ -4,24 +4,32 @@ Subcommands: ``classify`` (theorem dispatch and obstructions), ``series``
 (adds manifold coefficients), ``verify`` (adds the numeric block), ``bb``
 (raw Briot-Bouquet classification of a document read as x y' = f).
 
-Exit codes: 0 classified, 2 parse error, 3 uncertifiable spectrum,
-unnormalized input, an ``--order`` below the one the system needs, a
+Exit codes: 0 classified, 2 parse error (an integer with more digits than
+the interpreter reads from text included), 3 uncertifiable spectrum,
+unnormalized input, an ``--order`` below the one the system needs, exact
+work (tracked powers x order^2 + terms x order, summed over the charts, see
+``briot_bouquet.exact_work``) past ``briot_bouquet.MAX_EXACT_WORK``, a
+result integer with more digits than the interpreter prints, a
 period whose first two RK4 runs (at the start step and half of it) need
 more than ``verify.MAX_RK4_STEPS`` steps or a coefficient that ``verify``
 cannot convert to a double, 4 verification failure (a diverging or
 non-finite run and step halving that reaches the cap included; a message
 names the cause, and errors that are not finite print as null).
 ``--order`` is capped at ``MAX_ORDER`` and ``--starts`` at ``MAX_STARTS``;
-a file that cannot be read or is not UTF-8 exits 2.
+a file that cannot be read or is not UTF-8 exits 2.  A reader that closes
+standard output early (``bbcenter series doc.json | head``) ends the run
+quietly, with the exit code of the documents processed so far.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import documents
+from .briot_bouquet import MAX_EXACT_WORK
 from .briot_bouquet import classify as bb_classify
 from .centers import enumerate_centers
 from .errors import (BBCenterError, NotNormalized, ParseError,
@@ -62,7 +70,9 @@ def _build_parser():
         p.add_argument("files", nargs="+", help="system documents (JSON), or - for stdin")
         p.add_argument("--order", default=12, type=_checked(
             int, lambda v: 1 <= v <= MAX_ORDER, f"an integer from 1 to {MAX_ORDER}"),
-            help=f"series truncation order, 1 to {MAX_ORDER} (default 12)")
+            help=f"series truncation order, 1 to {MAX_ORDER} (default 12); a "
+                 "document whose exact work (tracked powers x order^2 + terms x "
+                 f"order, summed over charts) passes {MAX_EXACT_WORK} is refused")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--numeric-fallback", action="store_true",
                        help="report a flagged double-precision spectrum instead of "
@@ -159,28 +169,34 @@ def _process_bb(text, args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     worst = EXIT_OK
-    for path in args.files:
-        try:
-            text = _read(path)
-        except (OSError, UnicodeDecodeError) as err:
-            print(f"error: {path}: cannot read: {err}", file=sys.stderr)
-            worst = max(worst, EXIT_PARSE)
-            continue
-        try:
-            if args.command == "bb":
-                document, code = _process_bb(text, args)
-            else:
-                document, code = _process_system(text, args)
-        except ParseError as err:
-            print(f"error: {path}: {err}", file=sys.stderr)
-            worst = max(worst, EXIT_PARSE)
-            continue
-        except BBCenterError as err:
-            print(f"error: {path}: {err}", file=sys.stderr)
-            worst = max(worst, EXIT_UNCERTIFIABLE)
-            continue
-        print(documents.emit_report(document, args.format))
-        worst = max(worst, code)
+    try:
+        for path in args.files:
+            try:
+                text = _read(path)
+            except (OSError, UnicodeDecodeError) as err:
+                print(f"error: {path}: cannot read: {err}", file=sys.stderr)
+                worst = max(worst, EXIT_PARSE)
+                continue
+            try:
+                if args.command == "bb":
+                    document, code = _process_bb(text, args)
+                else:
+                    document, code = _process_system(text, args)
+            except ParseError as err:
+                print(f"error: {path}: {err}", file=sys.stderr)
+                worst = max(worst, EXIT_PARSE)
+                continue
+            except BBCenterError as err:
+                print(f"error: {path}: {err}", file=sys.stderr)
+                worst = max(worst, EXIT_UNCERTIFIABLE)
+                continue
+            worst = max(worst, code)
+            print(documents.emit_report(document, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output early (``| head``): stop quietly,
+        # and leave nothing for the interpreter to flush into the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return worst
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .briot_bouquet import BBSystem
 from .centers import AXIS_NAMES, HoloSystem
-from .errors import ParseError
+from .errors import BBCenterError, ParseError
 from .series import EC_ZERO, ExactComplex, MultiSeries
 from .spectra import SmallMatrix, classify_spectrum, normal_form_check
 
@@ -45,12 +46,30 @@ def _ec_to_pair(value):
     return [[value.a // g, value.d // g], [value.b // h, value.d // h]]
 
 
+def _text(value, render=str):
+    """``render(value)``, or a ``BBCenterError`` naming the digit limit when
+    an integer in it is too long to print."""
+    try:
+        return render(value)
+    except ValueError:
+        raise BBCenterError(
+            f"a result has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for integers printed as text") from None
+
+
 def _load(document):
     if isinstance(document, (bytes, str)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ParseError(f"invalid JSON: {err}", "document") from None
+        except ValueError:
+            # json raises a plain ValueError for an integer literal with more
+            # digits than the interpreter converts from text
+            raise ParseError(
+                f"an integer has more than {sys.get_int_max_str_digits()} "
+                "digits, the interpreter's limit for integers read from text",
+                "document") from None
     if not isinstance(document, dict):
         raise ParseError("a document must be a JSON object", "document")
     return document
@@ -186,18 +205,18 @@ def period_string(factor):
 
 
 def _series_coefficients(graph, order):
-    return [str(graph.coeff((k,))) for k in range(1, order + 1)]
+    return [_text(graph.coeff((k,))) for k in range(1, order + 1)]
 
 
 def _spectrum_block(h):
     info = classify_spectrum(h.linear)
     return {
         "eigenvalues": [
-            {"value": str(v), "multiplicity": m,
+            {"value": _text(v), "multiplicity": m,
              "purely_imaginary": v.is_purely_imaginary()}
             for v, m in info.eigenvalues],
         "diagonalizable": info.diagonalizable,
-        "jordan_blocks": [[str(v), s] for v, s in info.jordan_blocks],
+        "jordan_blocks": [[_text(v), s] for v, s in info.jordan_blocks],
         "normal_form": normal_form_check(h.linear),
         "certified": True,
     }
@@ -230,13 +249,15 @@ def report_document(h, reports, variables=None, include_series=False,
                 {"order": k, "variable": names[v], "id": pid}
                 for k, v, pid in r.free_parameters],
             "period": {
-                "exact": period_string(r.period_factor),
+                # the integers of "factor": past the digit limit, json
+                # could not print them either
+                "exact": _text(r.period_factor, period_string),
                 "factor": [r.period_factor.numerator, r.period_factor.denominator],
                 "float": _float_str(r.period),
             },
         }
         if r.obstructions:
-            entry["obstructions"] = {k: str(v) for k, v in sorted(r.obstructions.items())}
+            entry["obstructions"] = {k: _text(v) for k, v in sorted(r.obstructions.items())}
         if r.blocking_order is not None:
             entry["blocking_order"] = r.blocking_order
         if include_series and r.graphs is not None:
@@ -261,7 +282,7 @@ def report_document(h, reports, variables=None, include_series=False,
 def bb_report_document(bb, classification, order):
     doc = {
         "kind": classification.kind,
-        "obstructions": {k: str(v) for k, v in sorted(classification.obstructions.items())},
+        "obstructions": {k: _text(v) for k, v in sorted(classification.obstructions.items())},
     }
     if classification.blocking_order is not None:
         doc["blocking_order"] = classification.blocking_order
@@ -271,7 +292,7 @@ def bb_report_document(bb, classification, order):
             {"order": k, "variable": v, "id": pid}
             for k, v, pid in sol.free_parameters]
         doc["coefficients"] = [
-            [str(c) for c in row] for row in sol.coefficients]
+            [_text(c) for c in row] for row in sol.coefficients]
         doc["order"] = order
     return doc
 

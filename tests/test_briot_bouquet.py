@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bb_oracle import oracle_classify, oracle_witnesses, to_oracle
+from bbcenter import briot_bouquet
 from bbcenter.briot_bouquet import (BBSystem, KIND_FAMILY, KIND_NO_SOLUTION,
-                                    KIND_UNIQUE, classify,
+                                    KIND_UNIQUE, classify, exact_work,
                                     formal_solve_nonresonant, reduction_step,
                                     residual)
-from bbcenter.errors import (BlockedStep, OrderTooSmall, ResonantEigenvalue)
+from bbcenter.errors import (BBCenterError, BlockedStep, OrderTooSmall,
+                             ResonantEigenvalue)
 from bbcenter.series import ExactComplex, MultiSeries
 from bbcenter.spectra import SmallMatrix
 
@@ -293,6 +296,43 @@ def assert_matches_oracle(sys, out, order):
     assert [(k, v) for k, v, _ in out.solution.free_parameters] == want.free_slots
     assert list(out.solution.coefficients) == want.coefficients
     assert_zero_residual(sys, out.solution)
+
+
+def test_dense_degree_six_system_matches_oracle_at_order_16():
+    # every monomial of degree 2..6 in (x, y1, y2) and a complex triangular
+    # linear part: longer sums and larger coefficients than any corpus system
+    rng = random.Random(6)
+
+    def small():
+        return ec(Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3))),
+                  Fraction(rng.randint(-1, 1), 2))
+
+    rows = [series(2, 16, {e: small() for e in product(range(7), repeat=3)
+                           if 2 <= sum(e) <= 6}) for _ in range(2)]
+    sys = BBSystem(SmallMatrix([[ec(Fraction(-1, 2)), ec(1)], [ec(0), ec(0, 1)]]),
+                   [small(), small()], rows)
+    out = classify(sys, 16)
+    assert out.kind == KIND_UNIQUE
+    assert_matches_oracle(sys, out, 16)
+
+
+def test_exact_work_counts_tracked_powers_and_terms():
+    # x u' = -u + x + u^3 + x u^2 tracks 1, u, u^2 and u^3 over two terms
+    sys = bb1(-1, 1, {(0, 3): 1, (1, 2): 1}, order=10)
+    assert exact_work(sys, 10) == 4 * 10**2 + 2 * 10
+    # a chart row u^4 adds one power and one term
+    assert exact_work(sys, 10, series(1, 10, {(0, 4): 1})) == 5 * 10**2 + 3 * 10
+
+
+def test_classify_refuses_work_past_the_cap(monkeypatch):
+    sys = bb1(-1, 1, {(0, 3): 1, (1, 2): 1}, order=10)
+    monkeypatch.setattr(briot_bouquet, "MAX_EXACT_WORK", 419)
+    with pytest.raises(BBCenterError, match="needs 420 units of work.*the cap is 419"):
+        classify(sys, 10)
+    with pytest.raises(BBCenterError, match="needs 420 units"):
+        formal_solve_nonresonant(sys, 10)
+    monkeypatch.setattr(briot_bouquet, "MAX_EXACT_WORK", 420)
+    assert classify(sys, 10).kind == KIND_UNIQUE
 
 
 @pytest.mark.parametrize("order", [6, 8])

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bb_oracle import oracle_classify, oracle_witnesses, to_oracle
+from bbcenter import briot_bouquet
 from bbcenter.centers import (AXIS_NAMES, MULT_INFINITE, MULT_NONE,
                               MULT_UNIQUE, POINCARE_TAG, CenterManifoldReport,
                               HoloSystem, _pattern_label, chart_reduce,
                               enumerate_centers, manifold_residual)
-from bbcenter.errors import InvalidChart, NotNormalized, OrderTooSmall
+from bbcenter.errors import (BBCenterError, InvalidChart, NotNormalized,
+                             OrderTooSmall)
 from bbcenter.series import ExactComplex, MultiSeries
 from bbcenter.spectra import NF_NOT_NORMALIZED, SmallMatrix, normal_form_check
 
@@ -570,3 +572,17 @@ def test_pattern_label_matches_the_chain_scan():
                         == chain_scan_label(linear)), linear
                 checked += 1
     assert checked == 276
+
+
+def test_enumerate_refuses_the_work_of_all_charts_together(monkeypatch):
+    # every quadratic and cubic monomial, three imaginary charts; each chart
+    # tracks 10 powers of (u1, u2) and 15 + 15 + 16 terms at order 11, so it
+    # needs 10 * 11^2 + 46 * 11 = 1716 units, 5148 for the three
+    cubic = {e: 1 for e in itertools.product(range(4), repeat=3) if 2 <= sum(e) <= 3}
+    h = holo([I, ec(0, Fraction(3, 2)), ec(0, Fraction(-5, 3))], x=cubic, y=cubic,
+             z=cubic)
+    monkeypatch.setattr(briot_bouquet, "MAX_EXACT_WORK", 5147)
+    with pytest.raises(BBCenterError, match="needs 5148 units of work.*cap is 5147"):
+        enumerate_centers(h, 12)
+    monkeypatch.setattr(briot_bouquet, "MAX_EXACT_WORK", 5148)
+    assert len(enumerate_centers(h, 12)) == 3

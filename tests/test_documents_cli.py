@@ -5,12 +5,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import bbcenter
 from bbcenter import cli, documents, verify
+from bbcenter.briot_bouquet import MAX_EXACT_WORK
 from bbcenter.errors import ParseError
 from bbcenter.series import ExactComplex
 from bbcenter.verify import MAX_RK4_STEPS
@@ -513,3 +515,88 @@ def test_cli_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# caps and limits: a message and an exit code, never a traceback
+
+def test_cli_refuses_exact_work_past_the_cap(tmp_path, capsys):
+    # every monomial of degree <= 20 in three variables (5,301 terms, about
+    # 300 KiB) at --order 64: three charts of 231 powers and 5,301 terms at
+    # order 63 need 3 * 231 * 63^2 + 5301 * 63 = 3752028 units of work
+    names = "xyz"
+    omegas = (1, Fraction(3, 2), Fraction(-5, 3))
+    doc = {"variables": list(names), "equations": [
+        [mono((0, 1, w.numerator, w.denominator) if isinstance(w, Fraction)
+              else i_times(w), [int(j == i) for j in range(3)])]
+        + [mono(1, e) for e in product(range(21), repeat=3) if 2 <= sum(e) <= 20]
+        for i, w in enumerate(omegas)]}
+    assert sum(map(len, doc["equations"])) == 3 + 5301
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    assert cli.main(["series", "--order", "64", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {path}: the exact solve needs 3752028 units of work" in err
+    assert f"the cap is {MAX_EXACT_WORK}" in err
+
+
+def test_cli_help_states_the_exact_work_cap(capsys):
+    for command in ("classify", "series", "verify", "bb"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"summed over charts) passes {MAX_EXACT_WORK} is refused" in text
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT == 0, reason="this interpreter converts integers of any length")
+
+
+@needs_digit_limit
+def test_cli_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    text = json.dumps(toggle_doc(1)).replace(
+        "[[1, 1], [0, 1]]", f"[[1{'0' * DIGIT_LIMIT}, 1], [0, 1]]", 1)
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: an integer has more than {DIGIT_LIMIT} digits" in err
+    assert "Traceback" not in err
+
+
+@needs_digit_limit
+def test_cli_result_past_the_digit_limit_fails_cleanly(tmp_path, capsys):
+    # x' = ix + (10^4000/3) y^2, y' = -y + (10^4000/7) x^2: the order-2
+    # coefficient of the graph y(x) has 8,006 characters
+    big = 10**4000
+    doc = {"variables": ["x", "y"], "equations": [
+        [mono(i_times(), (1, 0)), mono((big, 3, 0, 1), (0, 2))],
+        [mono(-1, (0, 1)), mono((big, 7, 0, 1), (2, 0))]]}
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["series", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"error: {path}: a result has an integer of more than {DIGIT_LIMIT} "
+            "digits") in err
+    assert cli.main(["classify", path]) == 0
+
+
+def test_cli_closed_stdout_exits_quietly(tmp_path, capsys):
+    # like `bbcenter series ... | head -n 1`: the reader leaves after one
+    # line, long before the output fits in any pipe, so a later write meets
+    # a closed pipe
+    path = write_doc(tmp_path, toggle_doc(1))
+    argv = ["series", "--order", "64"] + [path] * 400
+    assert cli.main(argv[:4]) == 0
+    assert len(capsys.readouterr().out) * 400 > 1 << 20
+    env = dict(os.environ, PYTHONPATH=str(Path(bbcenter.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "bbcenter.cli"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""

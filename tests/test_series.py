@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bbcenter.briot_bouquet import BBSystem, reduction_step
 from bbcenter.errors import BlockedStep, DimensionMismatch, NotDivisible
-from bbcenter.series import EC_I, ExactComplex, MultiSeries
+from bbcenter.series import EC_I, EC_ZERO, ExactComplex, MultiSeries, _dot
 from bbcenter.spectra import SmallMatrix
 
 
@@ -180,6 +180,48 @@ def test_exact_complex_to_complex_overflows_beyond_double_range():
             z.to_complex()
     assert ExactComplex(Fraction(1, 10**400), 10**300).to_complex() \
         == complex(0.0, 1e300)
+
+
+# ---------------------------------------------------------------------------
+# the fused dot product against the term-by-term sum
+
+# equal, dividing (2 | 4 | 12, 3 | 9) and coprime (5, 7, 2^31 - 1) denominators
+dot_part = st.builds(
+    Fraction,
+    st.one_of(st.just(0), st.integers(-10**20, 10**20)),
+    st.sampled_from([1, 2, 3, 4, 5, 7, 9, 12, 2**31 - 1]))
+dot_scalar = st.builds(ExactComplex, dot_part, dot_part)
+
+
+def plain_dot(pairs, total=EC_ZERO, weights=None):
+    for n, (x, y) in enumerate(pairs):
+        total = total + x * y * (1 if weights is None else weights[n])
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(dot_scalar, dot_scalar, st.integers(-40, 40)), max_size=12),
+       dot_scalar, st.booleans())
+def test_dot_equals_the_sum_of_products(terms, total, weighted):
+    pairs = [(x, y) for x, y, _ in terms]
+    weights = [w for _, _, w in terms] if weighted else None
+    want = plain_dot(pairs, total, weights)
+    got = _dot(pairs, total, weights)
+    # the same reduced triple, not only the same value
+    assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+    assert _dot(iter(pairs), weights=weights) == plain_dot(pairs, weights=weights)
+
+
+def test_dot_examples():
+    third, half, quarter = ec(Fraction(1, 3)), ec(Fraction(1, 2)), ec(Fraction(1, 4))
+    fifth_i = ec(0, Fraction(1, 5))
+    assert _dot([]) == EC_ZERO and _dot([], third) == third
+    assert _dot([(EC_ZERO, third), (half, EC_ZERO)], quarter) == quarter
+    assert _dot([(third, third), (third, ec(Fraction(2, 3)))]) == third
+    assert _dot([(half, half), (quarter, quarter)]) == ec(Fraction(5, 16))
+    assert _dot([(half, third), (fifth_i, fifth_i)]) == ec(Fraction(19, 150))
+    assert _dot([(half, half), (third, EC_I)], EC_I, [4, -3]) == ec(1)
+    assert _dot([(ec(10**40, 1), ec(10**40, -1))]) == ec(10**80 + 1)
 
 
 # ---------------------------------------------------------------------------
