@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import pi
+from math import inf, log10, pi
 
 from . import briot_bouquet as bb_engine
-from .errors import (DimensionMismatch, InvalidChart, NotNormalized,
-                     OrderTooSmall)
+from .errors import (BBCenterError, DimensionMismatch, InvalidChart,
+                     NotNormalized, OrderTooSmall)
 from .series import MultiSeries
 from .spectra import (NF_DIAGONAL, NF_JORDAN_2, NF_JORDAN_3, NF_NOT_NORMALIZED,
                       SmallMatrix, classify_spectrum, normal_form_check)
@@ -121,7 +121,18 @@ class CenterManifoldReport:
 
     @property
     def period(self):
-        return 2.0 * pi * float(self.period_factor)
+        """2*pi*period_factor as a double; ``BBCenterError`` when it is
+        beyond double range."""
+        try:
+            period = 2.0 * pi * float(self.period_factor)
+        except OverflowError:
+            period = inf
+        if period == inf:
+            f = self.period_factor
+            exponent = round(log10(f.numerator) - log10(f.denominator))
+            raise BBCenterError(
+                f"the period, about 2π·10^{exponent}, is beyond double range")
+        return period
 
 
 def _chart_linear(h, chart):

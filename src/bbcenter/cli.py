@@ -9,12 +9,13 @@ the interpreter reads from text included), 3 uncertifiable spectrum,
 unnormalized input, an ``--order`` below the one the system needs, exact
 work (tracked powers x order^2 + terms x order, summed over the charts, see
 ``briot_bouquet.exact_work``) past ``briot_bouquet.MAX_EXACT_WORK``, a
-result integer with more digits than the interpreter prints, a
-period whose first two RK4 runs (at the start step and half of it) need
-more than ``verify.MAX_RK4_STEPS`` steps or a coefficient that ``verify``
-cannot convert to a double, 4 verification failure (a diverging or
-non-finite run and step halving that reaches the cap included; a message
-names the cause, and errors that are not finite print as null).
+result integer with more digits than the interpreter prints, a period
+beyond double range, a period whose first two RK4 runs (at the start step
+and half of it) need more than ``verify.MAX_RK4_STEPS`` steps or a
+coefficient that ``verify`` cannot convert to a double, 4 verification
+failure (a diverging or non-finite run and step halving that reaches the
+cap included; a message names the cause, and errors that are not finite
+print as null).
 ``--order`` is capped at ``MAX_ORDER`` and ``--starts`` at ``MAX_STARTS``;
 a file that cannot be read or is not UTF-8 exits 2.  A reader that closes
 standard output early (``bbcenter series doc.json | head``) ends the run

@@ -5,22 +5,24 @@ period of the isochronous family on it; this module checks both claims in
 double precision.  One sampler gives the truncated graph z(t) and its slope
 dz/dt as arrays on the circle |t| = radius: the points start RK4 runs that
 must return to them after the predicted period, and with the slopes they
-give the invariance residual in one field call.  The runs are Lawson RK4
-(RK4 in the frame that turns with the imaginary part of the diagonal of
-the normal-form linear part), so the rotation that sets the period is
-integrated exactly and only the rest of the field limits the step; the
-rest keeps any hyperbolic part, under RK4's stability bound.  The step is
-chosen from the tolerance: runs at h and h/2 give the Richardson estimate
+give the invariance residual in one field call.  The runs are Lawson RK4:
+RK4 on G(z) = F(z) - S z in the frame that turns with S, the imaginary
+part of the diagonal of the normal-form linear part, so the rotation that
+sets the period is integrated exactly and only G limits the step; G keeps
+any hyperbolic part, under RK4's stability bound.  The step is chosen from
+the tolerance: runs at h and h/2 give the Richardson estimate
 E = max|z_h - z_{h/2}| / 15 of the finer run's error, and h halves from
 16 steps per period until E is far below the tolerance, stops falling or
 reaches the rounding level of the start points, so a pass bounds the
-integration error as well as the return error.  The residual is sampled at
-two radii, where a graph exact to order N must shrink like radius^(N+1).
-Each manifold compiles its field once, to gathered monomials and one
-coefficient matrix.  A graph that cannot be sampled inside the radius, a
-state that leaves the divergence bound or stops being finite, or halving
-that reaches the step cap fails the check; a coefficient beyond double
-range raises ``BBCenterError``.  numpy is imported by the functions that
+integration error as well as the return error.  The first two runs share
+one sweep and its field calls.  The residual is sampled at two radii, where
+a graph exact to order N must shrink like radius^(N+1).  Each manifold
+compiles G once, from the system with S taken out of its linear part
+exactly, to gathered monomials and one coefficient matrix; the residual
+evaluates F as G(z) + S z.  A graph that cannot be sampled inside the
+radius, a state that leaves the divergence bound or stops being finite, or
+halving that reaches the step cap fails the check; a coefficient beyond
+double range raises ``BBCenterError``.  numpy is imported by the functions that
 use it, so importing the package does not load it.
 """
 
@@ -45,6 +47,8 @@ RESIDUAL_SLACK = 1
 # rounding of the two runs (about sqrt(n) eps in n steps), which halving
 # cannot lower
 ESTIMATE_FLOOR = 64 * sys.float_info.epsilon
+# the RK4 phases e^{tS} are computed for this many steps at a time
+PHASE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,14 @@ def compile_field(h):
         factors[:len(index), m] = index
     coeffs = np.array(list(terms.values()), dtype=complex).reshape(len(terms), dim)
 
+    buffers = {}  # input shape -> its padded copy; the ones column stays
+
     def field(z):
-        padded = np.empty(z.shape[:-1] + (dim + 1,), dtype=complex)
+        padded = buffers.get(z.shape)
+        if padded is None:
+            padded = buffers[z.shape] = np.ones(z.shape[:-1] + (dim + 1,),
+                                                dtype=complex)
         padded[..., :dim] = z
-        padded[..., dim] = 1.0
         monomials = padded.take(factors[0], axis=-1)
         for f in factors[1:]:
             monomials *= padded.take(f, axis=-1)
@@ -107,44 +115,96 @@ def compile_field(h):
     return field
 
 
-def _rk4_batch(field, rotation, states, t_final, step):
-    """Lawson RK4: classical RK4 on G(z) = F(z) - S z in the frame that turns
-    with the diagonal ``rotation`` S, so S itself is integrated exactly.
+def _lawson_step(field, w, phase, weight, advance):
+    """One Lawson RK4 step, in place, of the rows w = e^{-tS} z.
 
-    With p = e^{hS/2} a step is k1 = G(z), k2 = G(p(z + h/2 k1)),
-    k3 = G(pz + h/2 k2), k4 = G(p^2 z + h p k3) and
+    ``phase`` stacks e^{tS}, e^{(t+h/2)S} and e^{(t+h)S}, ``weight`` their
+    conjugates times h/6, h/3 and h/6, and ``advance`` h/2 p, h/2 and h p
+    with p = e^{hS/2}; each broadcasts against w, so one call can step rows
+    at different steps h.  ``field`` returns a new array, which the step
+    reuses.
+    """
+    z, turned, ahead = phase * w  # z, p z, p^2 z
+    to_k2, half, to_k4 = advance
+    first, middle, last = weight
+    k1 = field(z)
+    z = to_k2 * k1
+    z += turned
+    k2 = field(z)
+    z = half * k2
+    z += turned
+    k3 = field(z)
+    ahead += to_k4 * k3
+    k4 = field(ahead)
+    k2 += k3
+    k2 *= middle
+    k1 *= first
+    k1 += k2
+    k4 *= last
+    k1 += k4
+    w += k1
+
+
+def _rk4_batch(field, rotation, states, t_final, step, pair=False):
+    """Lawson RK4: classical RK4 on G in the frame that turns with the
+    diagonal ``rotation`` S, for the field z' = G(z) + S z, so S itself is
+    integrated exactly.
+
+    ``field`` is G.  With p = e^{hS/2} a step is k1 = G(z),
+    k2 = G(p(z + h/2 k1)), k3 = G(pz + h/2 k2), k4 = G(p^2 z + h p k3) and
     z+ = p^2 z + h/6 (p^2 k1 + 2p(k2 + k3) + k4); with S = 0 it is classical
-    RK4.  The state is held as w = e^{-tS} z and the phase e^{tS} is taken
-    from t at every step, so the rounding of p does not build up over the
-    run.
+    RK4.  The state is held as w = e^{-tS} z and each phase e^{tS} is taken
+    from t, so the rounding of p does not build up over the run.
+
+    With ``pair`` the states also run at step / 2 in the same sweep, and
+    the end states at step and at step / 2 come back as a pair: the coarse
+    and the fine rows are stacked, each coarse step shares its four field
+    calls with the first of the two fine steps it spans, and the second
+    fine step runs on the fine rows alone.
     """
     import numpy as np
     n_steps = max(1, round(t_final / step))
     h = t_final / n_steps
-    half = np.exp(0.5 * h * rotation)  # p
-    to_k2, to_k4 = 0.5 * h * half, h * half
-    with_k1, with_k23 = (h / 6.0) * half * half, (h / 3.0) * half
+    rotation = np.broadcast_to(np.asarray(rotation, dtype=complex),
+                               np.shape(states)[-1:])
 
-    def g(u):
-        return field(u) - rotation * u
+    def run(rows, offsets, h):
+        """What steps ``rows`` by h (a float, or one per stacked half):
+        the offsets of each step's three phases from its start, in time
+        units, their RK4 weights and the step's advance."""
+        p = np.exp(0.5 * h * rotation)
+        weights = np.stack([h / 6, h / 3, h / 6]).reshape(offsets.shape + (1,))
+        return rows, offsets, weights, (0.5 * h * p, 0.5 * h, h * p)
 
-    w, now = states, 1.0  # z = now * w, now = e^{tS}
-    for k in range(n_steps):
-        z = now * w
-        turned = half * z  # p z
-        now = np.exp((k + 1) * h * rotation)
-        k1 = g(z)
-        k2 = g(turned + to_k2 * k1)
-        k3 = g(turned + (0.5 * h) * k2)
-        turned = now * w  # p^2 z
-        k4 = g(turned + to_k4 * k3)
-        w = w + now.conjugate() * (
-            with_k1 * k1 + with_k23 * (k2 + k3) + (h / 6.0) * k4)
-        if not (abs(w).max() <= DIVERGENCE_BOUND):  # a NaN state fails too
-            raise IntegrationDiverged(
-                f"state norm exceeded {DIVERGENCE_BOUND} or is not finite "
-                f"at t = {(k + 1) * h:.6g}")
-    return now * w
+    if pair:
+        # time counts quarters of the coarse step h: a coarse step spans
+        # 0, 2, 4 of them, its first fine step 0, 1, 2 and the second 2, 3, 4
+        w = np.stack([states, states]).astype(complex)
+        runs = [run(w, np.array([[0, 0], [2, 1], [4, 2]]).reshape(3, 2, 1),
+                    np.array([h, 0.5 * h]).reshape(2, 1, 1)),
+                run(w[1], np.arange(2, 5).reshape(3, 1), 0.5 * h)]
+        per_step, unit = 4, 0.25 * h
+    else:
+        w = np.array(states, dtype=complex)
+        runs = [run(w, np.arange(3).reshape(3, 1), h)]
+        per_step, unit = 2, 0.5 * h
+    for start in range(0, n_steps, PHASE_BLOCK):
+        ks = np.arange(start, min(n_steps, start + PHASE_BLOCK))
+        tables = []
+        for rows, offsets, weights, advance in runs:
+            times = (per_step * ks.reshape((-1,) + (1,) * offsets.ndim)
+                     + offsets) * unit
+            phase = np.exp(np.multiply.outer(times, rotation))
+            tables.append((rows, phase, phase.conj() * weights, advance))
+        for i, k in enumerate(ks):
+            for rows, phase, weight, advance in tables:
+                _lawson_step(field, rows, phase[i], weight[i], advance)
+            if not (abs(w).max() <= DIVERGENCE_BOUND):  # a NaN state fails too
+                raise IntegrationDiverged(
+                    f"state norm exceeded {DIVERGENCE_BOUND} or is not finite "
+                    f"at t = {(k + 1) * h:.6g}")
+    z = np.exp(per_step * n_steps * unit * rotation) * w
+    return (z[0], z[1]) if pair else z
 
 
 def integrate(h, z0, t_final, step):
@@ -155,6 +215,16 @@ def integrate(h, z0, t_final, step):
         raise ValueError("step and final time must be positive")
     z = np.asarray(z0, dtype=complex).reshape(1, -1)
     return _rk4_batch(compile_field(h), 0.0, z, t_final, step)[0]
+
+
+def _without_rotation(h):
+    """The system z' = F(z) - S z for S = i Im(diag A), built exactly: its
+    linear part is A with the imaginary part of the diagonal taken out."""
+    from .centers import HoloSystem
+    from .series import ExactComplex
+    rows = [[ExactComplex(v.re) if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(h.linear.rows)]
+    return HoloSystem(rows, h.nonlinear, h.time_scale)
 
 
 def _sample_graph(report, t):
@@ -192,21 +262,23 @@ def _manifold_starts(h, report, starts, radius):
 
 
 def _halving_runs(field, rotation, z0, period, n_steps, tol):
-    """RK4 runs from z0 over one period in n_steps, 2 n_steps, 4 n_steps ...
+    """Lawson RK4 runs of ``field`` G from z0 over one period in n_steps,
+    2 n_steps, 4 n_steps ...
 
-    Each pair of runs gives the Richardson estimate E = max|z_h - z_{h/2}| / 15
-    of the finer run's error.  Returns the finer end state, E, its step and
-    a message: empty once E <= tol / 100, E stops falling or
-    E <= ``ESTIMATE_FLOOR`` max|z0|, else naming the cap when the next
-    halving would pass ``MAX_RK4_STEPS`` steps.  The caller checks that the
-    first pair fits the cap.
+    The first two runs come from one paired sweep; each later halving is one
+    more run.  Each pair of runs gives the Richardson estimate
+    E = max|z_h - z_{h/2}| / 15 of the finer run's error, and the cap counts
+    every step of every run (3 n_steps for the first pair).  Returns the
+    finer end state, E, its step and a message: empty once E <= tol / 100,
+    E stops falling or E <= ``ESTIMATE_FLOOR`` max|z0|, else naming the cap
+    when the next halving would pass ``MAX_RK4_STEPS`` steps.  The caller
+    checks that the first pair fits the cap.
     """
-    coarse = _rk4_batch(field, rotation, z0, period, period / n_steps)
-    used, previous = n_steps, math.inf
+    coarse, fine = _rk4_batch(field, rotation, z0, period, period / n_steps,
+                              pair=True)
+    used, previous = 3 * n_steps, math.inf
     while True:
-        n_steps *= 2
-        fine = _rk4_batch(field, rotation, z0, period, period / n_steps)
-        used += n_steps
+        n_steps *= 2  # steps of the finer run
         estimate = float(abs(fine - coarse).max()) / 15
         step = period / n_steps
         if (estimate <= tol / 100 or estimate >= previous / 4
@@ -218,6 +290,8 @@ def _halving_runs(field, rotation, z0, period, n_steps, tol):
                 f"{MAX_RK4_STEPS} steps; the error estimate there is "
                 f"{estimate:.3g}, tol {tol:g}")
         coarse, previous = fine, estimate
+        fine = _rk4_batch(field, rotation, z0, period, step / 2)
+        used += 2 * n_steps
 
 
 def _start_steps(period, norm):
@@ -262,7 +336,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
     result with a message, not as an exception.  ``BBCenterError`` is
     raised when the first two runs alone need more than ``MAX_RK4_STEPS``
     steps, before any work, and for a coefficient or value beyond double
-    range.
+    range, the period's included.
     """
     import numpy as np
     if report.multiplicity == "none":
@@ -280,7 +354,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
                 f"that; the cap is {MAX_RK4_STEPS}")
         # overflow and NaN are handled below, so numpy need not warn of them
         with np.errstate(over="ignore", invalid="ignore"):
-            field = compile_field(h)
+            field = compile_field(_without_rotation(h))  # G = F - S z
             z0 = _manifold_starts(h, report, starts, radius)
             if z0 is None:
                 return VerifyResult(
@@ -291,7 +365,8 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
                 field, rotation, z0, period, n_steps, tol)
             return_error = float(abs(z1 - z0).max())
             residual_error, residual_message = _residual_decay(
-                field, report, max(starts, 8), radius, norm)
+                lambda z: field(z) + rotation * z, report, max(starts, 8),
+                radius, norm)
     except IntegrationDiverged as err:
         return VerifyResult(math.inf, math.inf, period, False, str(err))
     except OverflowError as err:

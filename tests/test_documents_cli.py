@@ -348,13 +348,14 @@ def test_cli_verify_unreachable_tol_stops_halving_at_rounding(tmp_path, capsys,
     # both manifolds are exact rotations, so the first pair's Richardson
     # estimate is already at the rounding level of the starts, where halving
     # further only stirs rounding; halving until E stops falling would take
-    # many more steps
+    # many more steps; the first pair (n steps and 2 n in one sweep) counts
+    # as 3 n
     steps = []
     rk4 = verify._rk4_batch
 
-    def counted(field, rotation, states, t_final, step):
-        steps.append(max(1, round(t_final / step)))
-        return rk4(field, rotation, states, t_final, step)
+    def counted(field, rotation, states, t_final, step, pair=False):
+        steps.append((3 if pair else 1) * max(1, round(t_final / step)))
+        return rk4(field, rotation, states, t_final, step, pair=pair)
 
     monkeypatch.setattr(verify, "_rk4_batch", counted)
     path = write_doc(tmp_path, toggle_doc(0))
@@ -365,6 +366,22 @@ def test_cli_verify_unreachable_tol_stops_halving_at_rounding(tmp_path, capsys,
     assert len(blocks) == 2 and not any(b["pass"] for b in blocks)
     assert not any("message" in b for b in blocks)
     assert sum(steps) <= 50_000
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_cli_period_beyond_double_range_is_refused(tmp_path, capsys, command):
+    # x' = (i / 10^4000) x, y' = -y: the period 2 pi 10^4000 has no double,
+    # so the float rendering of the period raised OverflowError
+    doc = {"variables": ["x", "y"], "equations": [
+        [mono((0, 1, 1, 10 ** 4000), (1, 0))],
+        [mono(-1, (0, 1))],
+    ]}
+    path = write_doc(tmp_path, doc)
+    assert cli.main([command, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: the period, about 2π·10^4000, "
+                            "is beyond double range\n")
 
 
 def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):

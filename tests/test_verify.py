@@ -15,8 +15,8 @@ from bbcenter.series import ExactComplex, MultiSeries
 from bbcenter.spectra import SmallMatrix
 from bbcenter import verify
 from bbcenter.verify import (_halving_runs, _rk4_batch, _start_steps,
-                             check_isochronous, check_residual_numeric,
-                             compile_field, integrate)
+                             _without_rotation, check_isochronous,
+                             check_residual_numeric, compile_field, integrate)
 
 
 def ec(re, im=0):
@@ -145,6 +145,10 @@ def test_one_compiled_field_per_manifold(monkeypatch):
     assert check_isochronous(axis_system(), reports[1], starts=4,
                              radius=0.1).passed
     assert len(compiled) == 1 and len(residuals) == 2
+    # what is compiled is G = F - i Im(diag A) z, built exactly
+    (g,) = compiled
+    assert [g.linear.rows[i][i] for i in range(3)] == [ec(0), ec(0), ec(1)]
+    assert g.nonlinear == axis_system().nonlinear
 
 
 def test_wrong_period_fails():
@@ -294,6 +298,13 @@ LINEAR_3D = HoloSystem(SmallMatrix([[I, ec(1), ec(0)], [ec(0), I, ec(2, 1)],
 SHARED_2D = HoloSystem(SmallMatrix.diagonal([ec(-1), ec(2)]),
                        [MultiSeries(2, 4, {(1, 1): ec(3), (0, 3): I}),
                         MultiSeries(2, 4, {(1, 1): ec(Fraction(1, 2)), (4, 0): ec(1)})])
+# at x ~ 1e-157 the second row's value is subnormal (about 2.7e-314), and
+# the two evaluations differ there by one subnormal spacing
+TINY_2D = HoloSystem(SmallMatrix.diagonal([ec(0), ec(0)]),
+                     [MultiSeries(2, 4, {(4, 0): ec(1, Fraction(-5, 3))}),
+                      MultiSeries(2, 4, {(3, 0): ec(1),
+                                         (2, 1): ec(Fraction(-4, 3), Fraction(3, 2)),
+                                         (3, 1): ec(0, Fraction(-1, 2))})])
 
 
 @settings(max_examples=300, deadline=None)
@@ -302,15 +313,20 @@ SHARED_2D = HoloSystem(SmallMatrix.diagonal([ec(-1), ec(2)]),
 @example((ZERO_2D, (3, 2), [[1, 2], [0.5j, 1 - 1j], [0, 0]]))
 @example((LINEAR_3D, (1, 3), [[0.3, -1j, 1.5 + 0.25j]]))
 @example((SHARED_2D, (4, 2), [[0.5, 1], [-1.5j, 0.25], [1 + 1j, -1], [0, 0]]))
+@example((TINY_2D, (2,), [[9.618336061795022e-158,
+                           -0.786870351455133 - 1.2196071415670335j]]))
 def test_compile_field_matches_plain_complex_evaluation(case):
+    # relative to the terms' sizes, with a floor of a few subnormal spacings
+    # per term, where a relative bound is below the spacing
     h, shape, points = case
     z = np.array(points, dtype=complex).reshape(shape)
     got = compile_field(h)(z)
     assert got.shape == shape
     for point, row in zip(points, got.reshape(-1, h.dim)):
         want, scale = reference_field(h, point)
-        for w, g, s in zip(want, row, scale):
-            assert abs(g - w) <= 1e-12 * s, (g, w, s)
+        for i, (w, g, s) in enumerate(zip(want, row, scale)):
+            floor = 16 * math.ulp(0.0) * (h.dim + len(h.nonlinear[i].terms))
+            assert abs(g - w) <= 1e-12 * s + floor, (g, w, s)
 
 
 # check_residual_numeric against a per-point reference in plain Python
@@ -472,7 +488,7 @@ def test_richardson_estimate_bounds_the_finer_run(case, period, tol):
     # stiff direction has decayed and a fast one turned up to about 30 times
     period = min(period, 200 / max(norm, 200))
     n_steps = _start_steps(period, norm)
-    field = compile_field(h)
+    field = compile_field(_without_rotation(h))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             fine, estimate, step, _ = _halving_runs(
@@ -484,3 +500,81 @@ def test_richardson_estimate_bounds_the_finer_run(case, period, tol):
     floor = (64 * sys.float_info.epsilon * max(1.0, float(abs(finer).max()))
              * round(period / step))
     assert error <= 2 * estimate or error <= floor, (error, estimate, floor)
+
+
+# the first Richardson pair in one sweep
+
+@settings(max_examples=100, deadline=None)
+@given(fast_or_stiff_fields(), st.floats(0.25, 1.0))
+@example((stiff_system(-5000), (2,), [[1, 1]]), 1.0)
+def test_pair_matches_two_single_runs(case, period):
+    # the stacked sweep makes the same steps as a run at h and a run at h/2
+    h, _, points = case
+    z0 = np.array(points, dtype=complex).reshape(-1, h.dim)
+    z0 = 0.05 * z0 / max(1.0, float(abs(z0).max()))
+    linear = np.array(h.linear.to_complex_array())
+    rotation = 1j * linear.diagonal().imag
+    norm = float(abs(linear).sum(axis=1).max())
+    period = min(period, 200 / max(norm, 200))
+    n_steps = _start_steps(period, norm)
+    field = compile_field(_without_rotation(h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            singles = [_rk4_batch(field, rotation, z0, period, period / n)
+                       for n in (n_steps, 2 * n_steps)]
+        except IntegrationDiverged:
+            with pytest.raises(IntegrationDiverged):
+                _rk4_batch(field, rotation, z0, period, period / n_steps,
+                           pair=True)
+            return
+        pair = _rk4_batch(field, rotation, z0, period, period / n_steps,
+                          pair=True)
+    for n, single, paired in zip((n_steps, 2 * n_steps), singles, pair):
+        scale = max(float(abs(single).max()), float(abs(z0).max()))
+        assert paired.shape == z0.shape
+        assert (float(abs(paired - single).max())
+                <= 64 * sys.float_info.epsilon * n * scale)
+
+
+def test_first_pair_makes_eight_field_calls_per_coarse_step():
+    # 4 n stacked calls plus 4 n on the fine rows alone, where two runs
+    # took 4 n + 8 n; an exact rotation accepts at the first pair
+    calls = []
+    field = compile_field(_without_rotation(axis_system()))
+
+    def counted(z):
+        calls.append(z.shape)
+        return field(z)
+
+    rotation = np.array([1j, 3j, 0])
+    z0 = np.full((4, 3), 0.01 + 0j)
+    z0[:, 2] = 0.0  # off the hyperbolic z-axis
+    fine, estimate, step, message = _halving_runs(
+        counted, rotation, z0, 2 * math.pi, 16, 1e-6)
+    assert message == "" and step == pytest.approx(2 * math.pi / 32)
+    assert len(calls) == 8 * 16
+    assert calls.count((2, 4, 3)) == calls.count((4, 3)) == 4 * 16
+
+
+def test_pair_divergence_in_the_coarse_half_raises():
+    # z' = -z: the coarse step 3.5 lies outside RK4's stability region, so
+    # the coarse rows grow 2.73x per step, while the fine step 1.75 decays
+    def field(z):
+        return -z
+
+    z0 = np.ones((2, 1), dtype=complex)
+    _rk4_batch(field, 0.0, z0, 35.0, 1.75)
+    with pytest.raises(IntegrationDiverged, match=r"exceeded .* at t = 24\.5$"):
+        _rk4_batch(field, 0.0, z0, 35.0, 3.5, pair=True)
+
+
+def test_pair_nan_in_the_fine_half_raises():
+    # z' = -z, NaN below |z| = 0.05: the fine rows' second stage reaches
+    # 0.035 in their second step, the coarse rows' stages stay above 0.75
+    def field(z):
+        return np.where(abs(z) < 0.05, math.nan, -z)
+
+    z0 = np.ones((2, 1), dtype=complex)
+    _rk4_batch(field, 0.0, z0, 10.5, 3.5)
+    with pytest.raises(IntegrationDiverged, match=r"not finite at t = 3\.5$"):
+        _rk4_batch(field, 0.0, z0, 10.5, 3.5, pair=True)
