@@ -285,7 +285,7 @@ def reduction_step(bb):
     )
 
 
-def classify(bb, order=12, chart=None):
+def classify(bb, order=12, chart=None, verdict_only=False):
     """Full trichotomy of a Briot-Bouquet system, exactly.
 
     One order-by-order recursion covers every case: it solves
@@ -303,10 +303,19 @@ def classify(bb, order=12, chart=None):
     ``chart`` classifies a chart of a field from its own terms instead (see
     ``_solve``); the representative stays y(x), and the chart's graph is
     x y(x).
+
+    With ``verdict_only`` the recursion stops at the largest resonant order
+    K (none is solved when A has no positive integer eigenvalue), after the
+    order check against ``order``.  Every later order is uniquely solvable,
+    so the verdict, witnesses, free parameters and blocking order are the
+    ones ``order`` gives; the solution holds coefficients through K only,
+    and the work counted and capped is that of K orders.
     """
     integers = positive_integer_eigenvalues(bb.A)
     if integers and order < integers[-1] + 2:
         raise OrderTooSmall(order, integers[-1], integers[-1] + 2)
+    if verdict_only:
+        order = integers[-1] if integers else 0
     check_exact_work(exact_work(bb, order, chart))
     return _solve(bb, order, chart)
 

@@ -28,7 +28,8 @@ from .errors import (BBCenterError, DimensionMismatch, InvalidChart,
                      NotNormalized, OrderTooSmall)
 from .series import MultiSeries
 from .spectra import (NF_DIAGONAL, NF_JORDAN_2, NF_JORDAN_3, NF_NOT_NORMALIZED,
-                      SmallMatrix, classify_spectrum, normal_form_check)
+                      SmallMatrix, classify_spectrum, normal_form_check,
+                      positive_integer_eigenvalues)
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -103,8 +104,8 @@ class CenterManifoldReport:
     ``period_factor`` is exact: the isochronous family's period equals
     2*pi*period_factor in the system's reported time.  ``graphs`` maps each
     dependent coordinate to its truncated graph series over the chart
-    variable; absent for non-existence verdicts and for the full-space
-    isochronous center.
+    variable; absent for non-existence verdicts, for the full-space
+    isochronous center and for reports enumerated with ``verdict_only``.
     """
 
     chart: int | None
@@ -122,16 +123,17 @@ class CenterManifoldReport:
     @property
     def period(self):
         """2*pi*period_factor as a double; ``BBCenterError`` when it is
-        beyond double range."""
+        beyond or below double range."""
         try:
             period = 2.0 * pi * float(self.period_factor)
         except OverflowError:
             period = inf
-        if period == inf:
+        if period in (0.0, inf):
             f = self.period_factor
             exponent = round(log10(f.numerator) - log10(f.denominator))
+            where = "beyond" if period else "below"
             raise BBCenterError(
-                f"the period, about 2π·10^{exponent}, is beyond double range")
+                f"the period, about 2π·10^{exponent}, is {where} double range")
         return period
 
 
@@ -259,7 +261,7 @@ def _period_factor(h, omega):
     return Fraction(1) / (abs(omega) * h.time_scale)
 
 
-def enumerate_centers(h, order=12):
+def enumerate_centers(h, order=12, verdict_only=False):
     """All holomorphic-center-manifold verdicts of a normalized system.
 
     Returns one report per purely imaginary chart (existence with multiplicity
@@ -267,6 +269,11 @@ def enumerate_centers(h, order=12):
     (all eigenvalues equal, purely imaginary, diagonalizable) which collapses
     to a single isochronous-center report.  Families are listed before
     no-go verdicts, charts in coordinate order.
+
+    With ``verdict_only`` each chart is solved only through its last resonant
+    order (see ``briot_bouquet.classify``): the verdicts, witnesses and free
+    parameters are those of ``order``, the reports carry no graphs, and only
+    the terms and the work of the orders solved are kept and counted.
     """
     if h.dim not in (2, 3):
         raise DimensionMismatch("center enumeration handles dimensions 2 and 3")
@@ -294,22 +301,27 @@ def enumerate_centers(h, order=12):
             order=order,
         )]
 
-    charts = []
+    charts, work = [], 0
     for m in imag_idx:
         lam, deps, A, constants, slope_free = _chart_linear(h, m)
-        excluded = any(not c.is_zero() for c in constants)
-        problem = None if excluded else _chart_system(h, m, lam, deps, A, order)
+        problem = None
+        if all(c.is_zero() for c in constants):
+            # the last Briot-Bouquet order the chart's recursion solves
+            last = order - 1
+            if verdict_only:
+                last = min(last, max(positive_integer_eigenvalues(A), default=0))
+            system, chart = problem = _chart_system(h, m, lam, deps, A, last + 1)
+            work += bb_engine.exact_work(system, last, chart)
         charts.append((m, deps, constants, slope_free, problem))
     # the work of all the charts is refused before any chart is solved
-    problems = [c[-1] for c in charts if c[-1] is not None]
-    bb_engine.check_exact_work(sum(bb_engine.exact_work(system, order - 1, chart)
-                                   for system, chart in problems))
-    reports = [_chart_report(h, pattern, order, *c) for c in charts]
+    bb_engine.check_exact_work(work)
+    reports = [_chart_report(h, pattern, order, verdict_only, *c) for c in charts]
     reports.sort(key=lambda r: (r.multiplicity == MULT_NONE, r.chart))
     return reports
 
 
-def _chart_report(h, pattern, order, m, deps, constants, slope_free, problem):
+def _chart_report(h, pattern, order, verdict_only, m, deps, constants,
+                  slope_free, problem):
     common = dict(chart=m, pattern=pattern, order=order,
                   period_factor=_period_factor(h, h.linear.entry(m, m).im))
     if problem is None:
@@ -321,7 +333,8 @@ def _chart_report(h, pattern, order, m, deps, constants, slope_free, problem):
             theorem_tag=f"{pattern}/chart-excluded", obstructions=witnesses, **common)
     system, chart = problem
     try:
-        verdict = bb_engine.classify(system, order - 1, chart=chart)
+        verdict = bb_engine.classify(system, order - 1, chart=chart,
+                                     verdict_only=verdict_only)
     except OrderTooSmall as err:
         # the chart's Briot-Bouquet order k is order k + 1 of the graph series
         raise OrderTooSmall(order, err.resonance + 1, err.required + 1) from None
@@ -342,9 +355,10 @@ def _chart_report(h, pattern, order, m, deps, constants, slope_free, problem):
         multiplicity=multiplicity,
         theorem_tag=f"{pattern}/{suffix}",
         free_parameters=tuple(slots),
-        graphs={d: MultiSeries(1, order, {(k + 1,): row[pos] for k, row
-                                         in enumerate(verdict.solution.coefficients, 1)})
-                for pos, d in enumerate(deps)},
+        graphs=None if verdict_only else {
+            d: MultiSeries(1, order, {(k + 1,): row[pos] for k, row
+                                      in enumerate(verdict.solution.coefficients, 1)})
+            for pos, d in enumerate(deps)},
         obstructions=dict(verdict.obstructions),
         **common,
     )

@@ -3,15 +3,19 @@
 Subcommands: ``classify`` (theorem dispatch and obstructions), ``series``
 (adds manifold coefficients), ``verify`` (adds the numeric block), ``bb``
 (raw Briot-Bouquet classification of a document read as x y' = f).
+``classify`` prints no coefficients, so it solves each chart only through
+its last resonant order (``enumerate_centers(..., verdict_only=True)``); the
+others solve to ``--order``.
 
 Exit codes: 0 classified, 2 parse error (an integer with more digits than
 the interpreter reads from text included), 3 uncertifiable spectrum,
 unnormalized input, an ``--order`` below the one the system needs, exact
-work (tracked powers x order^2 + terms x order, summed over the charts, see
-``briot_bouquet.exact_work``) past ``briot_bouquet.MAX_EXACT_WORK``, a
-result integer with more digits than the interpreter prints, a period
-beyond double range, a period whose first two RK4 runs (at the start step
-and half of it) need more than ``verify.MAX_RK4_STEPS`` steps or a
+work (tracked powers x order^2 + terms x order, summed over the charts and
+counted over the orders actually solved, see ``briot_bouquet.exact_work``)
+past ``briot_bouquet.MAX_EXACT_WORK``, a result integer with more digits
+than the interpreter prints, a period beyond or below double range, a
+period whose first two RK4 runs (at the start step and half of it) need
+more than ``verify.MAX_RK4_STEPS`` steps or a
 coefficient that ``verify`` cannot convert to a double, 4 verification
 failure (a diverging or non-finite run and step halving that reaches the
 cap included; a message names the cause, and errors that are not finite
@@ -67,13 +71,13 @@ def _build_parser():
                     "of holomorphic systems via Briot-Bouquet theory.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, verify=False):
+    def common(p, verify=False, work="tracked powers x order^2 + terms x order"):
         p.add_argument("files", nargs="+", help="system documents (JSON), or - for stdin")
         p.add_argument("--order", default=12, type=_checked(
             int, lambda v: 1 <= v <= MAX_ORDER, f"an integer from 1 to {MAX_ORDER}"),
             help=f"series truncation order, 1 to {MAX_ORDER} (default 12); a "
-                 "document whose exact work (tracked powers x order^2 + terms x "
-                 f"order, summed over charts) passes {MAX_EXACT_WORK} is refused")
+                 f"document whose exact work ({work}, summed over charts) passes "
+                 f"{MAX_EXACT_WORK} is refused")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--numeric-fallback", action="store_true",
                        help="report a flagged double-precision spectrum instead of "
@@ -91,7 +95,9 @@ def _build_parser():
                 int, lambda v: 1 <= v <= MAX_STARTS, f"an integer from 1 to {MAX_STARTS}"),
                 help=f"RK4 start points per manifold, 1 to {MAX_STARTS} (default 20)")
 
-    common(sub.add_parser("classify", help="enumerate center manifolds"))
+    common(sub.add_parser("classify", help="enumerate center manifolds"),
+           work="tracked powers x K^2 + terms x K, with K the chart's last "
+                "resonant order, which --order does not change")
     common(sub.add_parser("series", help="enumerate and print series coefficients"))
     verify_description = (
         "enumerate and verify numerically: Lawson RK4 (the rotation "
@@ -137,7 +143,8 @@ def _process_system(text, args):
     h = documents.parse_system(doc, order=args.order)
     variables = doc.get("variables")
     try:
-        reports = enumerate_centers(h, order=args.order)
+        reports = enumerate_centers(h, order=args.order,
+                                    verdict_only=args.command == "classify")
     except (UncertifiableSpectrum, NotNormalized):
         if not args.numeric_fallback:
             raise  # main reports it with the file name, exit 3

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,37 @@ def test_enumerate_matches_chart_reduce_and_oracle(seed, dim, order):
             assert graph.order == order and graph.coeff((1,)) == ec(0)
             for bb_order, row in enumerate(want.coefficients, start=1):
                 assert graph.coeff((bb_order + 1,)) == row[pos]
+
+
+def random_resonant(rng, dim, order):
+    """A normalized system whose imaginary eigenvalues are i k for integers k
+    from 1 to 4, so its charts resonate, with ``random_normalized``'s Jordan
+    couplings and sparse quadratic and cubic terms."""
+    h = random_normalized(rng, dim, order)
+    diag = [ec(0, rng.randint(1, 4)) for _ in range(dim)]
+    rows = [[diag[i] if i == j else ec(0) for j in range(dim)] for i in range(dim)]
+    for i in range(dim - 1):
+        if diag[i] == diag[i + 1] and rng.random() < 0.5:
+            rows[i][i + 1] = ec(1)
+    return HoloSystem(SmallMatrix(rows), h.nonlinear)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(0, 6))
+def test_verdict_only_enumeration_matches_the_full_one(seed, dim, extra):
+    h = random_resonant(random.Random(seed), dim, 3)
+    order = 3
+    while True:
+        try:
+            enumerate_centers(h, order, verdict_only=True)
+            break
+        except OrderTooSmall as err:
+            order = err.required
+    order += extra
+    full = enumerate_centers(h, order)
+    cut = enumerate_centers(h, order, verdict_only=True)
+    assert all(r.graphs is None for r in cut)
+    assert cut == [replace(r, graphs=None) for r in full]
 
 
 # ---------------------------------------------------------------------------

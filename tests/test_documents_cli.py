@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import bbcenter
-from bbcenter import cli, documents, verify
+from bbcenter import briot_bouquet, cli, documents, verify
 from bbcenter.briot_bouquet import MAX_EXACT_WORK
 from bbcenter.errors import ParseError
 from bbcenter.series import ExactComplex
+from bbcenter.spectra import solve_affine
 from bbcenter.verify import MAX_RK4_STEPS
 
 
@@ -384,6 +385,22 @@ def test_cli_period_beyond_double_range_is_refused(tmp_path, capsys, command):
                             "is beyond double range\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "series"])
+def test_cli_period_below_double_range_is_refused(tmp_path, capsys, command):
+    # x' = (i 10^4000) x, y' = -y: the period 2 pi / 10^4000 rounds to 0.0,
+    # which was printed as the period's float
+    doc = {"variables": ["x", "y"], "equations": [
+        [mono((0, 1, 10 ** 4000, 1), (1, 0))],
+        [mono(-1, (0, 1))],
+    ]}
+    path = write_doc(tmp_path, doc)
+    assert cli.main([command, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: the period, about 2π·10^-4000, "
+                            "is below double range\n")
+
+
 def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):
     # x' = (i/1000) x, y' = -50 y + x^2: period 2000 pi at the stability
     # bound 2/50, 157080 + 314160 = 471240 steps for the first two runs
@@ -537,17 +554,25 @@ def test_cli_import_does_not_load_numpy():
 # ---------------------------------------------------------------------------
 # caps and limits: a message and an exit code, never a traceback
 
+def dense_doc(omegas, degree):
+    """x' = i w_x x + P, y' = i w_y y + P, z' = i w_z z + P, with P every
+    monomial of degree 2 to ``degree`` in x, y, z, coefficient 1."""
+    return {"variables": list("xyz"), "equations": [
+        [mono((0, 1, w.numerator, w.denominator) if isinstance(w, Fraction)
+              else i_times(w), [int(j == i) for j in range(3)])]
+        + [mono(1, e) for e in product(range(degree + 1), repeat=3)
+           if 2 <= sum(e) <= degree]
+        for i, w in enumerate(omegas)]}
+
+
+DISTINCT_OMEGAS = (1, Fraction(3, 2), Fraction(-5, 3))
+
+
 def test_cli_refuses_exact_work_past_the_cap(tmp_path, capsys):
     # every monomial of degree <= 20 in three variables (5,301 terms, about
     # 300 KiB) at --order 64: three charts of 231 powers and 5,301 terms at
     # order 63 need 3 * 231 * 63^2 + 5301 * 63 = 3752028 units of work
-    names = "xyz"
-    omegas = (1, Fraction(3, 2), Fraction(-5, 3))
-    doc = {"variables": list(names), "equations": [
-        [mono((0, 1, w.numerator, w.denominator) if isinstance(w, Fraction)
-              else i_times(w), [int(j == i) for j in range(3)])]
-        + [mono(1, e) for e in product(range(21), repeat=3) if 2 <= sum(e) <= 20]
-        for i, w in enumerate(omegas)]}
+    doc = dense_doc(DISTINCT_OMEGAS, 20)
     assert sum(map(len, doc["equations"])) == 3 + 5301
     path = write_doc(tmp_path, doc)
     start = time.perf_counter()
@@ -557,6 +582,41 @@ def test_cli_refuses_exact_work_past_the_cap(tmp_path, capsys):
     assert out == ""
     assert f"error: {path}: the exact solve needs 3752028 units of work" in err
     assert f"the cap is {MAX_EXACT_WORK}" in err
+
+
+def test_cli_classify_does_only_the_work_of_its_resonant_orders(tmp_path, capsys):
+    # the same degree-20 document: no chart of i, 3i/2, -5i/3 has a positive
+    # integer eigenvalue, so classify solves no order and has no work to refuse
+    path = write_doc(tmp_path, dense_doc(DISTINCT_OMEGAS, 20))
+    assert cli.main(["classify", "--order", "20", path]) == 0
+    want = capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.main(["classify", "--order", "64", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("omegas", [DISTINCT_OMEGAS, (1, 2, 3)])
+def test_cli_classify_cost_does_not_depend_on_the_order(tmp_path, capsys,
+                                                        monkeypatch, omegas):
+    # dense cubics: with i, 3i/2, -5i/3 no chart resonates; with i, 2i, 3i
+    # only the x chart does, at orders 1 and 2, and its x^2 terms block it
+    # at order 1
+    solved = []
+
+    def counted(rows, rhs):
+        solved.append(len(rows))
+        return solve_affine(rows, rhs)
+
+    monkeypatch.setattr(briot_bouquet, "solve_affine", counted)
+    path = write_doc(tmp_path, dense_doc(omegas, 3))
+    runs = []
+    for order in ("12", "64"):
+        solved.clear()
+        assert cli.main(["classify", "--order", order, path]) == 0
+        runs.append((capsys.readouterr(), len(solved)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == (0 if omegas == DISTINCT_OMEGAS else 1)
 
 
 def test_cli_help_states_the_exact_work_cap(capsys):
