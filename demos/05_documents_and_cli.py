@@ -31,6 +31,8 @@ print("round-trips exactly:",
       == system.linear)
 print()
 
+# a report prints the graph series it was solved to; the CLI's classify,
+# below, solves each chart only through its last resonant order and prints none
 reports = enumerate_centers(system)
 print("text report:")
 print(emit_report(report_document(system, reports, document["variables"]), "text"))

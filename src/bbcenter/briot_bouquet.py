@@ -120,8 +120,6 @@ class ReductionStep:
     system: BBSystem
     shifts: tuple
     free_columns: tuple
-    resonant: bool
-    px_entry: tuple
 
 
 def _power_recipes(exponents, n):
@@ -241,13 +239,15 @@ def _solve(bb, order, chart=None):
 def formal_solve_nonresonant(bb, order):
     """Unique solution germ when no eigenvalue of A is a positive integer <= order.
 
-    Solves (k I - A) c_k = r_k for k = 1..order, where r_k collects the
-    linear-in-x column at k = 1 and the nonlinear image of all lower orders.
+    Solves (k I - A) c_k = r_k for k = 1..min(order, bb.order), where r_k
+    collects the linear-in-x column at k = 1 and the nonlinear image of all
+    lower orders: a system's series say nothing past their declared order.
     """
     for k in positive_integer_eigenvalues(bb.A):
         if k <= order:
             raise ResonantEigenvalue(
                 f"{k} is an eigenvalue of the linear part; use classify()")
+    order = min(order, bb.order)
     check_exact_work(exact_work(bb, order))
     return _solve(bb, order).solution
 
@@ -276,20 +276,15 @@ def reduction_step(bb):
         new_px.append(g.coeff((1,) + (0,) * n))
         new_nonlinear.append(MultiSeries(n + 1, g.order, {
             e: c for e, c in g.terms.items() if sum(e) >= 2}))
-    return ReductionStep(
-        system=BBSystem(bb.A.shift(1), new_px, new_nonlinear),
-        shifts=shifts,
-        free_columns=free_cols,
-        resonant=bool(free_cols),
-        px_entry=bb.px,
-    )
+    return ReductionStep(BBSystem(bb.A.shift(1), new_px, new_nonlinear), shifts,
+                         free_cols)
 
 
-def classify(bb, order=12, chart=None, verdict_only=False):
+def classify(bb, order=12, chart=None):
     """Full trichotomy of a Briot-Bouquet system, exactly.
 
     One order-by-order recursion covers every case: it solves
-    (k I - A) c_k = r_k for k = 1..order and, at each resonant order (a
+    (k I - A) c_k = r_k for k = 1, 2, ... and, at each resonant order (a
     positive integer eigenvalue k of A), reads r_k as the exact obstruction.
     An inconsistent resonant order means no solution; a consistent one
     contributes free parameters; with none the solution is unique.
@@ -298,24 +293,23 @@ def classify(bb, order=12, chart=None, verdict_only=False):
     arrives in, so upper-triangular and Jordan linear parts (with the nilpotent
     parameter kept symbolic) need no preliminary change of basis; the verdict
     and the free-parameter count are basis independent.  The resonant orders
-    come from A itself, so an order too small to reach the largest of them
+    come from A itself, so an ``order`` too small to reach the largest of them
     raises instead of returning a verdict that a larger order would change.
     ``chart`` classifies a chart of a field from its own terms instead (see
     ``_solve``); the representative stays y(x), and the chart's graph is
     x y(x).
 
-    With ``verdict_only`` the recursion stops at the largest resonant order
-    K (none is solved when A has no positive integer eigenvalue), after the
-    order check against ``order``.  Every later order is uniquely solvable,
-    so the verdict, witnesses, free parameters and blocking order are the
-    ones ``order`` gives; the solution holds coefficients through K only,
-    and the work counted and capped is that of K orders.
+    The recursion runs through min(order, bb.order), since a system's series
+    say nothing past their declared order; one declared below its largest
+    resonant order K raises too.  Every order past K is uniquely solvable, so
+    a system declared through K gives the verdict of any larger one.
     """
     integers = positive_integer_eigenvalues(bb.A)
     if integers and order < integers[-1] + 2:
         raise OrderTooSmall(order, integers[-1], integers[-1] + 2)
-    if verdict_only:
-        order = integers[-1] if integers else 0
+    order = min(order, bb.order)
+    if integers and order < integers[-1]:
+        raise OrderTooSmall(order, integers[-1], integers[-1])
     check_exact_work(exact_work(bb, order, chart))
     return _solve(bb, order, chart)
 

@@ -19,7 +19,7 @@ division, without case analysis; it is the reference the tests check against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import inf, log10, pi
 
@@ -88,13 +88,11 @@ class ChartReduction:
     family instead of adding distinct manifolds.
     """
 
-    chart: int
     dependents: tuple
     system: object
     excluded: bool
     constants: tuple
     slope_free: tuple
-    order: int
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,7 @@ def chart_reduce(h, chart, order=12):
     """
     lam, deps, A, constants, slope_free = _chart_linear(h, chart)
     if any(not c.is_zero() for c in constants):
-        return ChartReduction(chart, deps, None, True, constants, (), order)
+        return ChartReduction(deps, None, True, constants, ())
     nvars = h.dim  # t plus one u per dependent coordinate
     u = [MultiSeries.variable(nvars, order + 1, j) for j in range(nvars)]
     subs = [u[0] if k == chart else u[0] * u[1 + deps.index(k)] for k in range(h.dim)]
@@ -198,34 +196,34 @@ def chart_reduce(h, chart, order=12):
         nonlinear.append(MultiSeries(nvars, order, {
             e: c for e, c in row.terms.items() if sum(e) >= 2}))
     system = bb_engine.BBSystem(A, px, nonlinear)
-    return ChartReduction(chart, deps, system, False, constants, slope_free, order)
+    return ChartReduction(deps, system, False, constants, slope_free)
 
 
-def _chart_system(h, chart, lam, deps, A, order):
+def _chart_system(h, chart, lam, deps, A, last):
     """The chart's equation straight from the field's sparse terms.
 
     Under z_chart = t, z_d = t u_d and division by lam t, a field monomial
     z^e becomes t^(|e| - 1) u^(e without the chart).  The dependent rows give
     a ``BBSystem``; the chart row, less its constant 1, is the chart that
-    ``briot_bouquet.classify`` takes.  Terms of degree above ``order - 1``,
-    the Briot-Bouquet order solved, cannot reach it.
+    ``briot_bouquet.classify`` takes, both declared through ``last``, the
+    Briot-Bouquet order solved: terms of higher degree cannot reach it.
     """
     def divided(terms):
         out = {}
         for e, c in terms:
             exps = (sum(e) - 1,) + tuple(e[d] for d in deps)
-            if sum(exps) < order:
+            if sum(exps) <= last:
                 out[exps] = c / lam
         return out
 
     rows = [divided(h.nonlinear[d].terms.items()) for d in deps]
     px = [row.pop((1,) + (0,) * len(deps), 0) for row in rows]
     system = bb_engine.BBSystem(
-        A, px, [MultiSeries(h.dim, order - 1, row) for row in rows])
+        A, px, [MultiSeries(h.dim, last, row) for row in rows])
     couplings = [(tuple(int(i == d) for i in range(h.dim)), h.linear.entry(chart, d))
                  for d in deps]
     row = divided(list(h.nonlinear[chart].terms.items()) + couplings)
-    return system, MultiSeries(h.dim, order - 1, row)
+    return system, MultiSeries(h.dim, last, row)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +268,10 @@ def enumerate_centers(h, order=12, verdict_only=False):
     to a single isochronous-center report.  Families are listed before
     no-go verdicts, charts in coordinate order.
 
-    With ``verdict_only`` each chart is solved only through its last resonant
-    order (see ``briot_bouquet.classify``): the verdicts, witnesses and free
-    parameters are those of ``order``, the reports carry no graphs, and only
-    the terms and the work of the orders solved are kept and counted.
+    With ``verdict_only`` each chart is declared, so solved, only through its
+    last resonant order (see ``briot_bouquet.classify``): the verdicts,
+    witnesses and free parameters are those of ``order``, the reports carry
+    no graphs, and only the terms and work of the orders solved are counted.
     """
     if h.dim not in (2, 3):
         raise DimensionMismatch("center enumeration handles dimensions 2 and 3")
@@ -310,18 +308,19 @@ def enumerate_centers(h, order=12, verdict_only=False):
             last = order - 1
             if verdict_only:
                 last = min(last, max(positive_integer_eigenvalues(A), default=0))
-            system, chart = problem = _chart_system(h, m, lam, deps, A, last + 1)
+            system, chart = problem = _chart_system(h, m, lam, deps, A, last)
             work += bb_engine.exact_work(system, last, chart)
         charts.append((m, deps, constants, slope_free, problem))
     # the work of all the charts is refused before any chart is solved
     bb_engine.check_exact_work(work)
-    reports = [_chart_report(h, pattern, order, verdict_only, *c) for c in charts]
+    reports = [_chart_report(h, pattern, order, *c) for c in charts]
+    if verdict_only:
+        reports = [replace(r, graphs=None) for r in reports]
     reports.sort(key=lambda r: (r.multiplicity == MULT_NONE, r.chart))
     return reports
 
 
-def _chart_report(h, pattern, order, verdict_only, m, deps, constants,
-                  slope_free, problem):
+def _chart_report(h, pattern, order, m, deps, constants, slope_free, problem):
     common = dict(chart=m, pattern=pattern, order=order,
                   period_factor=_period_factor(h, h.linear.entry(m, m).im))
     if problem is None:
@@ -333,8 +332,7 @@ def _chart_report(h, pattern, order, verdict_only, m, deps, constants,
             theorem_tag=f"{pattern}/chart-excluded", obstructions=witnesses, **common)
     system, chart = problem
     try:
-        verdict = bb_engine.classify(system, order - 1, chart=chart,
-                                     verdict_only=verdict_only)
+        verdict = bb_engine.classify(system, order - 1, chart=chart)
     except OrderTooSmall as err:
         # the chart's Briot-Bouquet order k is order k + 1 of the graph series
         raise OrderTooSmall(order, err.resonance + 1, err.required + 1) from None
@@ -355,7 +353,7 @@ def _chart_report(h, pattern, order, verdict_only, m, deps, constants,
         multiplicity=multiplicity,
         theorem_tag=f"{pattern}/{suffix}",
         free_parameters=tuple(slots),
-        graphs=None if verdict_only else {
+        graphs={
             d: MultiSeries(1, order, {(k + 1,): row[pos] for k, row
                                       in enumerate(verdict.solution.coefficients, 1)})
             for pos, d in enumerate(deps)},

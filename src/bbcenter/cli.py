@@ -4,8 +4,9 @@ Subcommands: ``classify`` (theorem dispatch and obstructions), ``series``
 (adds manifold coefficients), ``verify`` (adds the numeric block), ``bb``
 (raw Briot-Bouquet classification of a document read as x y' = f).
 ``classify`` prints no coefficients, so it solves each chart only through
-its last resonant order (``enumerate_centers(..., verdict_only=True)``); the
-others solve to ``--order``.
+its last resonant order (``enumerate_centers(..., verdict_only=True)``) and
+reads monomials of any degree; the others solve to ``--order`` and refuse
+a monomial above it.
 
 Exit codes: 0 classified, 2 parse error (an integer with more digits than
 the interpreter reads from text included), 3 uncertifiable spectrum,
@@ -140,38 +141,30 @@ def _fallback_document(h):
 
 def _process_system(text, args):
     doc = documents._load(text)
-    h = documents.parse_system(doc, order=args.order)
+    verdict_only = args.command == "classify"
+    h = documents.parse_system(doc, order=args.order, at_least=verdict_only)
     variables = doc.get("variables")
     try:
-        reports = enumerate_centers(h, order=args.order,
-                                    verdict_only=args.command == "classify")
+        reports = enumerate_centers(h, order=args.order, verdict_only=verdict_only)
     except (UncertifiableSpectrum, NotNormalized):
         if not args.numeric_fallback:
             raise  # main reports it with the file name, exit 3
         return _fallback_document(h), EXIT_OK
-    include_series = args.command in ("series", "verify")
-    verification = None
-    code = EXIT_OK
+    verification = {}
     if args.command == "verify":
-        verification = {}
-        for r in reports:
-            if r.multiplicity == "none":
-                continue
-            result = check_isochronous(
-                h, r, starts=args.starts, radius=args.radius, tol=args.tol)
-            verification[r.chart] = result
-            if not result.passed:
-                code = EXIT_VERIFY
+        verification = {r.chart: check_isochronous(
+            h, r, starts=args.starts, radius=args.radius, tol=args.tol)
+            for r in reports if r.multiplicity != "none"}
+    code = EXIT_OK if all(v.passed for v in verification.values()) else EXIT_VERIFY
     document = documents.report_document(
-        h, reports, variables=variables, include_series=include_series,
-        verification=verification)
+        h, reports, variables=variables, verification=verification)
     return document, code
 
 
 def _process_bb(text, args):
     bb = documents.parse_bb_document(text, order=args.order)
     out = bb_classify(bb, order=args.order)
-    return documents.bb_report_document(bb, out, args.order), EXIT_OK
+    return documents.bb_report_document(out), EXIT_OK
 
 
 def main(argv=None):

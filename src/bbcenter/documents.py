@@ -75,15 +75,18 @@ def _load(document):
     return document
 
 
-def _split_terms(doc, n, nvars, order, per):
+def _split_terms(doc, n, nvars, order, per, at_least=False):
     """The n equations split by degree: rows of degree-one coefficients (row
     i, column j for equation i and variable j) and one series per equation
-    of every other term.  Repeated monomials add up."""
+    of every other term.  Repeated monomials add up.  A monomial above
+    ``order`` is refused, unless ``at_least`` raises the series' order to
+    the top degree."""
     equations = doc.get("equations")
     if not isinstance(equations, list) or len(equations) != n:
         raise ParseError(f"need one equation per {per}", "equations")
     linear = [[EC_ZERO] * nvars for _ in equations]
     nonlinear = [{} for _ in equations]
+    top = order
     for i, monomials in enumerate(equations):
         loc = f"equations[{i}]"
         if not isinstance(monomials, list):
@@ -97,29 +100,33 @@ def _split_terms(doc, n, nvars, order, per):
                     or not all(_is_int(e) and e >= 0 for e in exps)):
                 raise ParseError(
                     f"exponents must be {nvars} nonnegative integers", where)
-            if sum(exps) == 0:
+            degree = sum(exps)
+            if degree == 0:
                 raise ParseError(
                     "constant term: the origin must be an equilibrium", where)
-            if sum(exps) > order:
+            if degree > order and not at_least:
                 raise ParseError(
-                    f"monomial degree {sum(exps)} exceeds the truncation order "
+                    f"monomial degree {degree} exceeds the truncation order "
                     f"{order}; raise --order", where)
+            top = max(top, degree)
             coeff = _pair_to_ec(mono.get("coefficient"), f"{where}.coefficient")
-            if sum(exps) == 1:
+            if degree == 1:
                 j = exps.index(1)
                 linear[i][j] = linear[i][j] + coeff
             else:
                 exps = tuple(exps)
                 prev = nonlinear[i].get(exps)
                 nonlinear[i][exps] = coeff if prev is None else prev + coeff
-    return linear, tuple(MultiSeries(nvars, order, terms) for terms in nonlinear)
+    return linear, tuple(MultiSeries(nvars, top, terms) for terms in nonlinear)
 
 
-def parse_system(document, order=12):
+def parse_system(document, order=12, at_least=False):
     """Parse a system document into a HoloSystem (dimension 2 or 3).
 
     Degree-one monomials populate the linear part, everything else the
-    nonlinear series; constant terms are rejected at parse time.
+    nonlinear series; constant terms are rejected at parse time.  A monomial
+    above ``order`` is refused, unless ``at_least`` raises the series' order
+    to the document's top degree.
     """
     doc = _load(document)
     variables = doc.get("variables")
@@ -128,7 +135,7 @@ def parse_system(document, order=12):
     dim = len(variables)
     if dim not in (2, 3):
         raise ParseError(f"dimension must be 2 or 3, got {dim}", "variables")
-    linear, series = _split_terms(doc, dim, dim, order, "variable")
+    linear, series = _split_terms(doc, dim, dim, order, "variable", at_least)
     scale = doc.get("time_scale", [1, 1])
     if (not isinstance(scale, list) or len(scale) != 2
             or not all(_is_int(v) for v in scale) or scale[1] == 0
@@ -222,12 +229,12 @@ def _spectrum_block(h):
     }
 
 
-def report_document(h, reports, variables=None, include_series=False,
-                    verification=None):
+def report_document(h, reports, variables=None, verification=None):
     """Assemble the full report document for one system.
 
-    ``verification`` maps chart index (or None) to a VerifyResult; when given,
-    each manifold entry carries its numeric block.
+    A manifold entry carries its series exactly when its report has graphs.
+    ``verification`` maps chart index (or None) to a VerifyResult; each
+    manifold entry with one carries its numeric block.
     """
     names = list(variables) if variables else list(AXIS_NAMES[:h.dim])
     doc = {
@@ -260,26 +267,26 @@ def report_document(h, reports, variables=None, include_series=False,
             entry["obstructions"] = {k: _text(v) for k, v in sorted(r.obstructions.items())}
         if r.blocking_order is not None:
             entry["blocking_order"] = r.blocking_order
-        if include_series and r.graphs is not None:
+        if r.graphs is not None:
             entry["series"] = {
                 names[k]: _series_coefficients(g, r.order)
                 for k, g in sorted(r.graphs.items())}
-        if verification is not None and r.multiplicity != "none":
-            v = verification.get(r.chart)
-            if v is not None:
-                entry["verification"] = {
-                    "return_error": _finite_or_null(v.return_error),
-                    "residual_error": _finite_or_null(v.residual_error),
-                    "predicted_period": _float_str(v.predicted_period),
-                    "pass": v.passed,
-                }
-                if v.message:
-                    entry["verification"]["message"] = v.message
+        v = (verification or {}).get(r.chart)
+        if v is not None:
+            entry["verification"] = {
+                "return_error": _finite_or_null(v.return_error),
+                "residual_error": _finite_or_null(v.residual_error),
+                "predicted_period": _float_str(v.predicted_period),
+                "pass": v.passed,
+            }
+            if v.message:
+                entry["verification"]["message"] = v.message
         doc["manifolds"].append(entry)
     return doc
 
 
-def bb_report_document(bb, classification, order):
+def bb_report_document(classification):
+    """One Briot-Bouquet verdict, with coefficients through its solved order."""
     doc = {
         "kind": classification.kind,
         "obstructions": {k: _text(v) for k, v in sorted(classification.obstructions.items())},
@@ -293,7 +300,7 @@ def bb_report_document(bb, classification, order):
             for k, v, pid in sol.free_parameters]
         doc["coefficients"] = [
             [_text(c) for c in row] for row in sol.coefficients]
-        doc["order"] = order
+        doc["order"] = sol.order
     return doc
 
 

@@ -193,10 +193,11 @@ def _dot(pairs, total=EC_ZERO, weights=None):
     denominator differs from it; one ``_ec`` reduces the sum.  The reduced
     triple is unique, so the result equals the term-by-term sum of
     ``ExactComplex`` products bit for bit.  ``weights`` gives one integer
-    per pair (all 1 without it).
+    per pair (all 1 without it); a count that differs raises ``ValueError``.
     """
     a, b, d = total.a, total.b, total.d
-    for (x, y), w in zip(pairs, repeat(1) if weights is None else weights):
+    for (x, y), w in (zip(pairs, repeat(1)) if weights is None
+                      else zip(pairs, weights, strict=True)):
         xa, xb, ya, yb = x.a, x.b, y.a, y.b
         re = (xa * ya - xb * yb) * w
         im = (xa * yb + xb * ya) * w

@@ -1,16 +1,47 @@
 """Independent undetermined-coefficients oracle for Briot-Bouquet systems.
 
-Deliberately separate from the package implementation: solutions are plain
-{order: coefficient} maps, compositions are hand-rolled convolutions, and the
-order-k linear systems are eliminated directly.  The package's classify
-must agree with this order-by-order recursion on kind, obstruction values,
-free-parameter slots and coefficients.
+Deliberately separate from the package implementation: scalars are plain
+(re, im) pairs of ``Fraction``s with hand-written complex arithmetic,
+solutions are {order: coefficient} maps, compositions are hand-rolled
+convolutions, and the order-k linear systems are eliminated directly.
+``ExactComplex`` appears only at the boundary: inputs are read through
+``.re``/``.im``, and every value the oracle returns is rebuilt as one, so
+results compare with the package's by ``==`` and ``str``.  The package's
+classify must agree with this order-by-order recursion on kind, obstruction
+values, free-parameter slots and coefficients.
 """
+
+from fractions import Fraction
 
 from bbcenter.series import ExactComplex
 
-ZERO = ExactComplex(0)
-ONE = ExactComplex(1)
+ZERO = (Fraction(0), Fraction(0))
+ONE = (Fraction(1), Fraction(0))
+
+
+def _plain(value):
+    return (value.re, value.im)
+
+
+def _exact(value):
+    return ExactComplex(*value)
+
+
+def _add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _times(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _inverse(p):
+    norm = p[0] * p[0] + p[1] * p[1]
+    return (p[0] / norm, -p[1] / norm)
 
 
 def _mul(a, b, upto):
@@ -20,8 +51,8 @@ def _mul(a, b, upto):
             k = ka + kb
             if k > upto:
                 continue
-            out[k] = out.get(k, ZERO) + ca * cb
-    return {k: c for k, c in out.items() if not c.is_zero()}
+            out[k] = _add(out.get(k, ZERO), _times(ca, cb))
+    return {k: c for k, c in out.items() if c != ZERO}
 
 
 def _term_value(exps, sols, upto):
@@ -36,8 +67,8 @@ def _term_value(exps, sols, upto):
 
 
 def _solve_linear(matrix, rhs):
-    """Exact RREF solve; returns (particular, free_cols) or ("inconsistent", w)
-    with w the first nonzero impossible right-hand value."""
+    """Exact RREF solve; returns (particular, free_cols), or
+    ("inconsistent", None) when some right-hand value cannot be met."""
     n = len(rhs)
     aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
     pivots = []
@@ -45,23 +76,22 @@ def _solve_linear(matrix, rhs):
     for col in range(n):
         piv = None
         for i in range(r, n):
-            if not aug[i][col].is_zero():
+            if aug[i][col] != ZERO:
                 piv = i
                 break
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
+        inv = _inverse(aug[r][col])
+        aug[r] = [_times(v, inv) for v in aug[r]]
         for i in range(n):
-            if i != r and not aug[i][col].is_zero():
+            if i != r and aug[i][col] != ZERO:
                 f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+                aug[i] = [_sub(a, _times(f, b)) for a, b in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
-    for i in range(r, n):
-        if not aug[i][n].is_zero():
-            return "inconsistent", aug[i][n]
+    if any(aug[i][n] != ZERO for i in range(r, n)):
+        return "inconsistent", None
     sol = [ZERO] * n
     for row, col in enumerate(pivots):
         sol[col] = aug[row][n]
@@ -76,16 +106,19 @@ class OracleResult:
         self.free_slots = []            # (order, variable)
         self.blocking_order = None
         self.rhs_at_resonance = {}      # order -> tuple rhs values
-        self.blocking_value = None
 
 
 def oracle_classify(A_rows, px, terms, order):
     """Classify x y' = px*x + A y + f directly, order by order.
 
     ``terms``: one list per equation of (ExactComplex coeff, exponent tuple
-    over (x, y1..yn)) with total degree >= 2.
+    over (x, y1..yn)) with total degree >= 2.  ``A_rows`` and ``px`` hold
+    ExactComplex values too; the values returned are ExactComplex.
     """
     n = len(px)
+    A_rows = [[_plain(v) for v in row] for row in A_rows]
+    px = [_plain(v) for v in px]
+    terms = [[(_plain(c), e) for c, e in row] for row in terms]
     sols = [{} for _ in range(n)]
     result = OracleResult()
     for k in range(1, order + 1):
@@ -96,26 +129,24 @@ def oracle_classify(A_rows, px, terms, order):
                 if sum(exps) > k:
                     continue
                 val = _term_value(exps, sols, k).get(k, ZERO)
-                total = total + coeff * val
+                total = _add(total, _times(coeff, val))
             rhs.append(total)
-        matrix = [[(ExactComplex(k) if i == j else ZERO) - A_rows[i][j]
+        matrix = [[_sub((Fraction(k), Fraction(0)) if i == j else ZERO, A_rows[i][j])
                    for j in range(n)] for i in range(n)]
-        solved, extra = _solve_linear(matrix, rhs)
+        solved, free = _solve_linear(matrix, rhs)
         if solved == "inconsistent":
             result.kind = "no_solution"
             result.blocking_order = k
-            result.rhs_at_resonance[k] = tuple(rhs)
-            result.blocking_value = extra
+            result.rhs_at_resonance[k] = tuple(map(_exact, rhs))
             return result
-        particular, free = solved, extra
         if free:
-            result.rhs_at_resonance[k] = tuple(rhs)
+            result.rhs_at_resonance[k] = tuple(map(_exact, rhs))
             for col in free:
                 result.free_slots.append((k, col))
         for i in range(n):
-            if not particular[i].is_zero():
-                sols[i][k] = particular[i]
-        result.coefficients.append(tuple(particular))
+            if solved[i] != ZERO:
+                sols[i][k] = solved[i]
+        result.coefficients.append(tuple(map(_exact, solved)))
     result.kind = "family" if result.free_slots else "unique"
     return result
 

@@ -15,7 +15,7 @@ from bbcenter.briot_bouquet import (BBSystem, KIND_FAMILY, KIND_NO_SOLUTION,
 from bbcenter.errors import (BBCenterError, BlockedStep, OrderTooSmall,
                              ResonantEigenvalue)
 from bbcenter.series import ExactComplex, MultiSeries
-from bbcenter.spectra import SmallMatrix
+from bbcenter.spectra import SmallMatrix, positive_integer_eigenvalues, solve_affine
 
 
 def ec(re, im=0):
@@ -103,7 +103,7 @@ def test_reduction_step_shift_and_linear_x():
     assert step.system.px[1] == ec(0)
     assert step.system.A.entry(0, 0) == ec(1)
     assert step.system.A.entry(1, 1) == ec(-2)
-    assert not step.resonant
+    assert not step.free_columns
 
 
 def test_reduction_step_zero_case():
@@ -369,6 +369,55 @@ def test_verdict_stable_from_required_order(seed, n):
         if out.solution is not None:
             assert out.solution.free_parameters == top.solution.free_parameters
             assert out.solution.coefficients == top.solution.coefficients[:order]
+
+
+def declared_through(sys, order):
+    """The same system with its series declared through ``order``."""
+    return BBSystem(sys.A, sys.px, [s.truncate(order) for s in sys.nonlinear])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3]))
+def test_system_declared_through_its_last_resonance_solves_only_that_far(seed, n):
+    # every order past the last resonant one K is uniquely solvable, so a
+    # system declared through K gives the verdict of one declared through 12
+    # from K solves, or fewer when an earlier order blocks
+    sys = random_system(random.Random(seed), n, 12, allow_resonant=True)
+    last = max(positive_integer_eigenvalues(sys.A), default=0)
+    full = classify(sys, 12)
+    solved = []
+
+    def counted(rows, rhs):
+        solved.append(len(rows))
+        return solve_affine(rows, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(briot_bouquet, "solve_affine", counted)
+        cut = classify(declared_through(sys, last), 12)
+    assert len(solved) == (cut.blocking_order or last)
+    assert (cut.kind, cut.obstructions, cut.blocking_order) == (
+        full.kind, full.obstructions, full.blocking_order)
+    if full.solution is not None:
+        assert cut.solution.order == last
+        assert cut.solution.free_parameters == full.solution.free_parameters
+        assert cut.solution.coefficients == full.solution.coefficients[:last]
+
+
+def test_system_declared_below_its_last_resonance_is_refused():
+    # declared through order 2, the system says nothing about the order-3
+    # obstruction, so no verdict may rest on it
+    sys = bb2([[3, 0], [0, -1]], [1, 0], g={(2, 0, 0): 1}, order=2)
+    with pytest.raises(OrderTooSmall):
+        classify(sys, 12)
+    assert classify(declared_through(sys, 3), 12).solution.order == 3
+
+
+def test_nonresonant_solve_stops_at_the_declared_order():
+    sys = bb2([[-1, 0], [0, Fraction(1, 2)]], [1, 2], f={(1, 1, 0): 1}, order=4)
+    sol = formal_solve_nonresonant(sys, 10)
+    assert sol.order == 4 and len(sol.coefficients) == 4
+    assert sol.coefficients == formal_solve_nonresonant(
+        declared_through(sys, 10), 10).coefficients[:4]
 
 
 def test_perturbed_solution_has_nonzero_residual():

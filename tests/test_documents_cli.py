@@ -103,8 +103,8 @@ def test_report_document_deterministic(tmp_path):
     from bbcenter.centers import enumerate_centers
     h = documents.parse_system(toggle_doc(1))
     reports = enumerate_centers(h)
-    doc1 = documents.report_document(h, reports, ["x", "y", "z"], True)
-    doc2 = documents.report_document(h, reports, ["x", "y", "z"], True)
+    doc1 = documents.report_document(h, reports, ["x", "y", "z"])
+    doc2 = documents.report_document(h, reports, ["x", "y", "z"])
     assert documents.emit_report(doc1) == documents.emit_report(doc2)
     # the text rendering is a pure function of the json document
     assert documents.emit_report(doc1, "text") == documents.emit_report(doc2, "text")
@@ -586,22 +586,46 @@ def test_cli_refuses_exact_work_past_the_cap(tmp_path, capsys):
 
 def test_cli_classify_does_only_the_work_of_its_resonant_orders(tmp_path, capsys):
     # the same degree-20 document: no chart of i, 3i/2, -5i/3 has a positive
-    # integer eigenvalue, so classify solves no order and has no work to refuse
+    # integer eigenvalue, so classify solves no order and has no work to
+    # refuse; nor does it refuse the monomials above --order 12
     path = write_doc(tmp_path, dense_doc(DISTINCT_OMEGAS, 20))
     assert cli.main(["classify", "--order", "20", path]) == 0
     want = capsys.readouterr()
-    start = time.perf_counter()
-    assert cli.main(["classify", "--order", "64", path]) == 0
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr() == want
+    for order in ("64", "12"):
+        start = time.perf_counter()
+        assert cli.main(["classify", "--order", order, path]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == want
 
 
-@pytest.mark.parametrize("omegas", [DISTINCT_OMEGAS, (1, 2, 3)])
+@pytest.mark.parametrize("command", ["series", "verify", "bb"])
+def test_cli_refuses_a_monomial_above_the_order_it_solves_to(tmp_path, capsys,
+                                                             command):
+    doc = dense_doc(DISTINCT_OMEGAS, 20)
+    if command == "bb":
+        doc["equations"].pop()  # x and two dependents
+    path = write_doc(tmp_path, doc)
+    t = next(t for t, m in enumerate(doc["equations"][0])
+             if sum(m["exponents"]) > 12)
+    assert cli.main([command, "--order", "12", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: monomial degree 13 exceeds the truncation "
+                   f"order 12; raise --order (at equations[0][{t}])\n")
+
+
+@pytest.mark.parametrize("omegas,degree,solves", [
+    pytest.param(DISTINCT_OMEGAS, 3, 0, id="omegas0"),
+    pytest.param((1, 2, 3), 3, 1, id="omegas1"),
+    pytest.param((1, 2, 4), 1, 4, id="omegas2")])
 def test_cli_classify_cost_does_not_depend_on_the_order(tmp_path, capsys,
-                                                        monkeypatch, omegas):
-    # dense cubics: with i, 3i/2, -5i/3 no chart resonates; with i, 2i, 3i
-    # only the x chart does, at orders 1 and 2, and its x^2 terms block it
-    # at order 1
+                                                        monkeypatch, omegas,
+                                                        degree, solves):
+    # with i, 3i/2, -5i/3 no chart resonates; with i, 2i, 3i only the x chart
+    # does, at orders 1 and 2, and the x^2 terms of the dense cubic block it
+    # at order 1; the linear i, 2i, 4i resonates in the x chart at orders 1
+    # and 3 and in the y chart at order 1, all three consistent, so it solves
+    # its last resonant orders 3 and 1 and no further
     solved = []
 
     def counted(rows, rhs):
@@ -609,14 +633,14 @@ def test_cli_classify_cost_does_not_depend_on_the_order(tmp_path, capsys,
         return solve_affine(rows, rhs)
 
     monkeypatch.setattr(briot_bouquet, "solve_affine", counted)
-    path = write_doc(tmp_path, dense_doc(omegas, 3))
+    path = write_doc(tmp_path, dense_doc(omegas, degree))
     runs = []
     for order in ("12", "64"):
         solved.clear()
         assert cli.main(["classify", "--order", order, path]) == 0
         runs.append((capsys.readouterr(), len(solved)))
     assert runs[0] == runs[1]
-    assert runs[0][1] == (0 if omegas == DISTINCT_OMEGAS else 1)
+    assert runs[0][1] == solves
 
 
 def test_cli_help_states_the_exact_work_cap(capsys):

@@ -224,6 +224,13 @@ def test_dot_examples():
     assert _dot([(ec(10**40, 1), ec(10**40, -1))]) == ec(10**80 + 1)
 
 
+def test_dot_refuses_a_weight_count_that_differs_from_the_pairs():
+    pairs = [(ec(1), ec(2)), (ec(3), ec(4))]
+    for weights in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError):
+            _dot(iter(pairs), weights=weights)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic examples
 
