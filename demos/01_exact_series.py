@@ -18,8 +18,7 @@ print("a          =", a)
 print("a * b      =", a * b)
 print("a / a      =", a / a)
 print("i^2        =", EC_I * EC_I)
-print("conj(a)    =", a.conjugate())
-print("|a|^2      =", a.abs2(), "(an exact rational)")
+print("Re a, Im a =", a.re, a.im, "(exact rationals)")
 print()
 
 # --- truncated series ------------------------------------------------------

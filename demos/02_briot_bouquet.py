@@ -19,7 +19,9 @@ def ec(re, im=0):
 
 def show_solution(sol, names):
     for i, name in enumerate(names):
-        print(f"  {name}(x) =", sol.representative[i].pretty(("x",)))
+        germ = MultiSeries(1, sol.order, {(k,): row[i] for k, row
+                                          in enumerate(sol.coefficients, 1)})
+        print(f"  {name}(x) =", germ.pretty(("x",)))
     if sol.free_parameters:
         slots = ", ".join(f"order {k} of {names[v]}" for k, v, _ in sol.free_parameters)
         print("  free parameters at:", slots)

@@ -12,8 +12,8 @@ from .briot_bouquet import (BBClassification, BBSystem, FormalSolution,
                             reduction_step, residual)
 from .centers import (CenterManifoldReport, ChartReduction, HoloSystem,
                       chart_reduce, enumerate_centers, manifold_residual)
-from .documents import (bb_report_document, emit_report, emit_system_document,
-                        parse_bb_document, parse_system, report_document)
+from .documents import (bb_report_document, emit_report, parse_bb_document,
+                        parse_system, report_document)
 from .series import EC_I, EC_ONE, EC_ZERO, ExactComplex, MultiSeries
 from .spectra import (SmallMatrix, SpectrumInfo, classify_spectrum,
                       normal_form_check, solve_affine)
@@ -30,7 +30,7 @@ __all__ = [
     "KIND_FAMILY", "KIND_NO_SOLUTION", "KIND_UNIQUE",
     "bb_report_document", "chart_reduce", "check_isochronous",
     "check_residual_numeric", "classify", "classify_spectrum", "compile_field",
-    "emit_report", "emit_system_document", "enumerate_centers",
+    "emit_report", "enumerate_centers",
     "formal_solve_nonresonant", "integrate",
     "manifold_residual", "normal_form_check",
     "parse_bb_document", "parse_system", "reduction_step",

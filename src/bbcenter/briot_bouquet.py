@@ -85,14 +85,14 @@ class FormalSolution:
     """A solution germ y_i(x) = sum_k c_k[i] x^k, with its free-parameter slots.
 
     ``coefficients[k - 1][i]`` is the order-k coefficient of variable i along
-    the representative (every free parameter set to zero).  ``free_parameters``
-    lists (order, variable, id) slots in ascending order.
+    the representative (every free parameter set to zero); ``residual``
+    builds its series from them.  ``free_parameters`` lists (order,
+    variable, id) slots in ascending order.
     """
 
     order: int
     coefficients: tuple
     free_parameters: tuple
-    representative: tuple
 
     def coefficient(self, k, i):
         return self.coefficients[k - 1][i]
@@ -230,9 +230,7 @@ def _solve(bb, order, chart=None):
             powers[u].append(c)
         table.append(solved[0])
         delta.append(coefficient(chart_row, k))
-    reps = tuple(MultiSeries(1, order, {(k,): powers[u][k] for k in range(1, order + 1)})
-                 for u in units)
-    solution = FormalSolution(order, tuple(table), tuple(slots), reps)
+    solution = FormalSolution(order, tuple(table), tuple(slots))
     return BBClassification(KIND_FAMILY if slots else KIND_UNIQUE, witnesses, solution)
 
 
@@ -316,23 +314,25 @@ def classify(bb, order=12, chart=None):
 
 def residual(bb, solution, order=None):
     """x y'(x) - f(x, y(x)) along the representative, one exact univariate
-    series per equation.  All coefficients through the requested order vanish
-    exactly iff the representative really solves the system."""
+    series per equation, built from ``coefficients[:order]``.  All
+    coefficients through the requested order vanish exactly iff the
+    representative really solves the system."""
     if order is None:
         order = solution.order
     if order > solution.order:
         raise ValueError("cannot check a residual beyond the solved order")
     n = bb.n
-    reps = [rep.truncate(order) if rep.order > order else rep
-            for rep in solution.representative]
+    reps = [MultiSeries(1, order, {(k,): row[i] for k, row
+                                   in enumerate(solution.coefficients[:order], 1)})
+            for i in range(n)]
     x = MultiSeries.variable(1, order, 0)
-    subs = [x] + [rep.with_order(order) for rep in reps]
+    subs = [x] + reps
     out = []
     for i in range(n):
-        lhs = reps[i].with_order(order).euler_derivative(0)
+        lhs = reps[i].euler_derivative(0)
         rhs = x * bb.px[i]
         for j in range(n):
-            rhs = rhs + reps[j].with_order(order) * bb.A.entry(i, j)
+            rhs = rhs + reps[j] * bb.A.entry(i, j)
         rhs = rhs + bb.nonlinear[i].substitute(subs, order)
         out.append(lhs - rhs)
     return tuple(out)

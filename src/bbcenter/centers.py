@@ -19,7 +19,7 @@ division, without case analysis; it is the reference the tests check against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, log10, pi
 
@@ -45,13 +45,13 @@ class HoloSystem:
 
     ``nonlinear`` holds one series per coordinate in the phase variables; all
     terms have total degree >= 2 (the linear data live in ``linear``).
-    ``time_scale`` rescales reported periods: a value s means the field is
-    s times the one whose periods should be reported.
+    Periods are those of the field as written: to rescale time, scale the
+    coefficients.
     """
 
-    __slots__ = ("dim", "linear", "nonlinear", "time_scale")
+    __slots__ = ("dim", "linear", "nonlinear")
 
-    def __init__(self, linear, nonlinear, time_scale=Fraction(1)):
+    def __init__(self, linear, nonlinear):
         if not isinstance(linear, SmallMatrix):
             linear = SmallMatrix(linear)
         dim = linear.dim
@@ -67,9 +67,6 @@ class HoloSystem:
         self.dim = dim
         self.linear = linear
         self.nonlinear = nonlinear
-        self.time_scale = Fraction(time_scale)
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
 
     def __repr__(self):
         return f"<HoloSystem dim={self.dim}>"
@@ -100,10 +97,11 @@ class CenterManifoldReport:
     """One enumerated center-manifold verdict for one chart.
 
     ``period_factor`` is exact: the isochronous family's period equals
-    2*pi*period_factor in the system's reported time.  ``graphs`` maps each
-    dependent coordinate to its truncated graph series over the chart
-    variable; absent for non-existence verdicts, for the full-space
-    isochronous center and for reports enumerated with ``verdict_only``.
+    2*pi*period_factor, a period of the field as written.  ``graphs`` maps
+    each dependent coordinate to its truncated graph series over the chart
+    variable; a report has graphs exactly when its chart was solved through
+    Briot-Bouquet order ``order`` - 1, so none for non-existence verdicts,
+    for the full-space isochronous center or with ``verdict_only``.
     """
 
     chart: int | None
@@ -255,10 +253,6 @@ def _tangency(axes):
     return "(" + ",".join(names) + ")-invariant"
 
 
-def _period_factor(h, omega):
-    return Fraction(1) / (abs(omega) * h.time_scale)
-
-
 def enumerate_centers(h, order=12, verdict_only=False):
     """All holomorphic-center-manifold verdicts of a normalized system.
 
@@ -269,9 +263,11 @@ def enumerate_centers(h, order=12, verdict_only=False):
     no-go verdicts, charts in coordinate order.
 
     With ``verdict_only`` each chart is declared, so solved, only through its
-    last resonant order (see ``briot_bouquet.classify``): the verdicts,
-    witnesses and free parameters are those of ``order``, the reports carry
-    no graphs, and only the terms and work of the orders solved are counted.
+    last resonant order K (see ``briot_bouquet.classify``): the verdicts,
+    witnesses and free parameters are those of ``order``, and only the terms
+    and work of the orders solved are counted.  ``OrderTooSmall`` keeps K
+    at most ``order`` - 3, so such a chart is never solved to ``order`` - 1
+    and its report carries no graphs.
     """
     if h.dim not in (2, 3):
         raise DimensionMismatch("center enumeration handles dimensions 2 and 3")
@@ -295,7 +291,7 @@ def enumerate_centers(h, order=12, verdict_only=False):
             multiplicity=MULT_UNIQUE,
             theorem_tag=POINCARE_TAG,
             pattern=pattern,
-            period_factor=_period_factor(h, diag[0].im),
+            period_factor=1 / abs(diag[0].im),
             order=order,
         )]
 
@@ -314,15 +310,13 @@ def enumerate_centers(h, order=12, verdict_only=False):
     # the work of all the charts is refused before any chart is solved
     bb_engine.check_exact_work(work)
     reports = [_chart_report(h, pattern, order, *c) for c in charts]
-    if verdict_only:
-        reports = [replace(r, graphs=None) for r in reports]
     reports.sort(key=lambda r: (r.multiplicity == MULT_NONE, r.chart))
     return reports
 
 
 def _chart_report(h, pattern, order, m, deps, constants, slope_free, problem):
     common = dict(chart=m, pattern=pattern, order=order,
-                  period_factor=_period_factor(h, h.linear.entry(m, m).im))
+                  period_factor=1 / abs(h.linear.entry(m, m).im))
     if problem is None:
         witnesses = {
             f"constant[{AXIS_NAMES[k]}]": c
@@ -341,21 +335,22 @@ def _chart_report(h, pattern, order, m, deps, constants, slope_free, problem):
             tangency=_tangency([m]), multiplicity=MULT_NONE,
             theorem_tag=f"{pattern}/blocked", obstructions=dict(verdict.obstructions),
             blocking_order=verdict.blocking_order + 1, **common)
+    solution = verdict.solution
     slots = [(1, k, f"{AXIS_NAMES[k]}'(0)") for k in slope_free] + [
         (k_bb + 1, deps[pos], f"c{k_bb + 1}[{AXIS_NAMES[deps[pos]]}]")
-        for k_bb, pos, _ in verdict.solution.free_parameters]
+        for k_bb, pos, _ in solution.free_parameters]
     slots.sort(key=lambda s: (s[0], s[1]))
-    multiplicity = (MULT_INFINITE if verdict.solution.free_parameters
-                    else MULT_UNIQUE)
+    multiplicity = MULT_INFINITE if solution.free_parameters else MULT_UNIQUE
     suffix = "family" if multiplicity == MULT_INFINITE else "unique"
     return CenterManifoldReport(
         tangency=_tangency([m] + list(slope_free)),
         multiplicity=multiplicity,
         theorem_tag=f"{pattern}/{suffix}",
         free_parameters=tuple(slots),
-        graphs={
+        # only a chart declared through order - 1 has its graphs solved
+        graphs=None if solution.order < order - 1 else {
             d: MultiSeries(1, order, {(k + 1,): row[pos] for k, row
-                                      in enumerate(verdict.solution.coefficients, 1)})
+                                      in enumerate(solution.coefficients, 1)})
             for pos, d in enumerate(deps)},
         obstructions=dict(verdict.obstructions),
         **common,

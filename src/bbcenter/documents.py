@@ -41,11 +41,6 @@ def _pair_to_ec(value, location):
     return ExactComplex(Fraction(rn, rd), Fraction(im_n, im_d))
 
 
-def _ec_to_pair(value):
-    g, h = math.gcd(value.a, value.d), math.gcd(value.b, value.d)
-    return [[value.a // g, value.d // g], [value.b // h, value.d // h]]
-
-
 def _text(value, render=str):
     """``render(value)``, or a ``BBCenterError`` naming the digit limit when
     an integer in it is too long to print."""
@@ -126,7 +121,9 @@ def parse_system(document, order=12, at_least=False):
     Degree-one monomials populate the linear part, everything else the
     nonlinear series; constant terms are rejected at parse time.  A monomial
     above ``order`` is refused, unless ``at_least`` raises the series' order
-    to the document's top degree.
+    to the document's top degree.  Only ``variables`` and ``equations`` are
+    read; a ``time_scale`` key is refused, since periods are those of the
+    field as written.
     """
     doc = _load(document)
     variables = doc.get("variables")
@@ -136,13 +133,11 @@ def parse_system(document, order=12, at_least=False):
     if dim not in (2, 3):
         raise ParseError(f"dimension must be 2 or 3, got {dim}", "variables")
     linear, series = _split_terms(doc, dim, dim, order, "variable", at_least)
-    scale = doc.get("time_scale", [1, 1])
-    if (not isinstance(scale, list) or len(scale) != 2
-            or not all(_is_int(v) for v in scale) or scale[1] == 0
-            or Fraction(*scale) <= 0):
-        raise ParseError("time_scale must be a positive rational [num, den]",
-                         "time_scale")
-    return HoloSystem(SmallMatrix(linear), series, Fraction(*scale))
+    if "time_scale" in doc:
+        # refused, not ignored: a time-scaled field is never read unscaled
+        raise ParseError("time_scale is not read; scale the coefficients to "
+                         "rescale time", "time_scale")
+    return HoloSystem(SmallMatrix(linear), series)
 
 
 def parse_bb_document(document, order=12):
@@ -162,29 +157,6 @@ def parse_bb_document(document, order=12):
     linear, series = _split_terms(doc, n, n + 1, order, "dependent variable")
     return BBSystem(SmallMatrix([row[1:] for row in linear]),
                     [row[0] for row in linear], series)
-
-
-def emit_system_document(h, variables=None):
-    """Serialize a HoloSystem back to the document schema, losslessly."""
-    dim = h.dim
-    names = list(variables) if variables else list(AXIS_NAMES[:dim])
-    equations = []
-    for i in range(dim):
-        monomials = []
-        for j in range(dim):
-            c = h.linear.entry(i, j)
-            if not c.is_zero():
-                exps = [1 if k == j else 0 for k in range(dim)]
-                monomials.append({"coefficient": _ec_to_pair(c), "exponents": exps})
-        for exps in sorted(h.nonlinear[i].terms, key=lambda e: (sum(e), e)):
-            monomials.append({
-                "coefficient": _ec_to_pair(h.nonlinear[i].terms[exps]),
-                "exponents": list(exps)})
-        equations.append(monomials)
-    doc = {"variables": names, "equations": equations}
-    if h.time_scale != 1:
-        doc["time_scale"] = [h.time_scale.numerator, h.time_scale.denominator]
-    return doc
 
 
 # ---------------------------------------------------------------------------

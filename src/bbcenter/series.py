@@ -146,13 +146,6 @@ class ExactComplex:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    def conjugate(self):
-        return _ec(self.a, -self.b, self.d)
-
-    def abs2(self):
-        """Squared modulus, an exact nonnegative rational."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def is_purely_imaginary(self):
         """Nonzero and on the imaginary axis."""
         return self.a == 0 and self.b != 0

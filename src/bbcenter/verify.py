@@ -224,7 +224,7 @@ def _without_rotation(h):
     from .series import ExactComplex
     rows = [[ExactComplex(v.re) if i == j else v for j, v in enumerate(row)]
             for i, row in enumerate(h.linear.rows)]
-    return HoloSystem(rows, h.nonlinear, h.time_scale)
+    return HoloSystem(rows, h.nonlinear)
 
 
 def _sample_graph(report, t):

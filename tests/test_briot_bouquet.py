@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -134,13 +135,11 @@ def test_cascade_conjugacy():
               g={(1, 0, 1): -1}, order=9)
     step = reduction_step(sys)
     sol = formal_solve_nonresonant(sys, 8)
-    transformed = []
-    for rep, shift in zip(sol.representative, step.shifts):
-        shifted = rep - MultiSeries(1, rep.order, {(1,): shift})
-        transformed.append(shifted.divide_by_x())
     tail = formal_solve_nonresonant(step.system, 7)
-    for ours, theirs in zip(transformed, tail.representative):
-        assert ours.truncate(7) == theirs.truncate(7)
+    # y/x - shift has no constant term, and its order-k coefficient is c_{k+1}
+    assert tuple(sol.coefficients[0]) == tuple(step.shifts)
+    assert [tuple(row) for row in tail.coefficients] == [
+        tuple(row) for row in sol.coefficients[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +422,10 @@ def test_nonresonant_solve_stops_at_the_declared_order():
 def test_perturbed_solution_has_nonzero_residual():
     sys = bb2([[-1, 0], [0, -2]], [1, 0], g={(2, 0, 0): 1})
     sol = formal_solve_nonresonant(sys, 8)
-    reps = list(sol.representative)
-    reps[0] = reps[0] + MultiSeries(1, 8, {(2,): ec(1)})
-    bad = type(sol)(sol.order, sol.coefficients, sol.free_parameters, tuple(reps))
+    assert not any(row.terms for row in residual(sys, sol, 8))
+    table = [list(row) for row in sol.coefficients]
+    table[1][0] = table[1][0] + ec(1)  # forge the order-2 coefficient of y_0
+    bad = replace(sol, coefficients=tuple(map(tuple, table)))
     rows = residual(sys, bad, 8)
-    assert not rows[0].is_zero()
+    assert rows[0].coeff((1,)) == ec(0)
     assert rows[0].coeff((2,)) != ec(0)

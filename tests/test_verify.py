@@ -578,3 +578,37 @@ def test_pair_nan_in_the_fine_half_raises():
     _rk4_batch(field, 0.0, z0, 10.5, 3.5)
     with pytest.raises(IntegrationDiverged, match=r"not finite at t = 3\.5$"):
         _rk4_batch(field, 0.0, z0, 10.5, 3.5, pair=True)
+
+
+# the give-up radius of the starts and the acceptance level of the estimate
+
+def test_starts_move_inward_until_a_steep_graph_fits():
+    # y = 1e5 t^2 leaves |z| <= 1e-2 until |t| <= about 3.2e-4: halving t
+    # from the radius fits every start at |t| = 1e-2 / 32, since only
+    # |t| < 1e-12 gives up, so a steep graph is still sampled
+    h = stiff_system(-50)
+    (report,) = [r for r in enumerate_centers(h, order=8) if r.chart == 0]
+    report = dataclasses.replace(
+        report, graphs={1: MultiSeries(1, 8, {(2,): ec(10**5)})})
+    z = verify._manifold_starts(h, report, 8, 1e-2)
+    assert z is not None
+    assert np.all(np.linalg.norm(z, axis=1) <= 1e-2)
+    assert np.allclose(abs(z[:, 0]), 1e-2 / 32)
+
+
+def test_halving_goes_on_until_the_estimate_is_a_hundredth_of_tol():
+    # chart x of DEMO_3D at radius 0.1, period 2 pi in 16 and 32 steps: with
+    # tol at 20 times the first pair's estimate E, E is above tol / 100, so
+    # the accepted run takes at least one halving and its E at most tol / 100
+    (report,) = [r for r in enumerate_centers(DEMO_3D, order=8) if r.chart == 0]
+    z0 = verify._manifold_starts(DEMO_3D, report, 4, 0.1)
+    field = compile_field(_without_rotation(DEMO_3D))
+    rotation = np.array([1j, 2j, 0])
+    period = 2 * math.pi
+    _, first, step, _ = _halving_runs(field, rotation, z0, period, 16, math.inf)
+    assert step == pytest.approx(period / 32) and first > 0
+    tol = 20 * first
+    _, estimate, step, message = _halving_runs(field, rotation, z0, period, 16,
+                                               tol)
+    assert message == "" and step < period / 32
+    assert estimate <= tol / 100
