@@ -184,6 +184,25 @@ def test_cli_numeric_fallback(tmp_path, capsys):
     assert out["spectrum"]["certified"] is False
 
 
+@pytest.mark.parametrize("den, imaginary", [(200_000_000, False),
+                                             (2_000_000_000, True)])
+def test_numeric_fallback_reads_a_real_part_to_1e_9(tmp_path, capsys, den,
+                                                    imaginary):
+    # x' = rx + y, y' = -2x + ry has eigenvalues r +- i sqrt 2, which exact
+    # certification cannot give; the fallback reads |re| <= NUMERIC_TOL =
+    # 1e-9 as zero, so r = 5e-9 is off the imaginary axis and r = 5e-10 on it
+    r = (1, den, 0, 1)
+    doc = {"variables": ["x", "y"], "equations": [
+        [mono(r, (1, 0)), mono(1, (0, 1))],
+        [mono(-2, (1, 0)), mono(r, (0, 1))],
+    ]}
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["classify", path, "--numeric-fallback"]) == 0
+    spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+    assert spectrum["certified"] is False
+    assert [e["purely_imaginary"] for e in spectrum["eigenvalues"]] == [imaginary] * 2
+
+
 def test_cli_verify_passes(tmp_path, capsys):
     path = write_doc(tmp_path, toggle_doc(0))
     code = cli.main(["verify", path, "--order", "8", "--starts", "6"])

@@ -1,8 +1,12 @@
 import cmath
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,15 +219,63 @@ def test_residual_keeps_nan():
                                                  grid=8, radius=1e-2))
 
 
+# x' = ix + y^2, y' = iy and a 3-D analogue: isochronous centers, chart None
+POINCARE_2D = HoloSystem(SmallMatrix.diagonal([I, I]),
+                         [MultiSeries(2, 8, {(0, 2): ec(1)}), MultiSeries.zero(2, 8)])
+POINCARE_3D = HoloSystem(
+    SmallMatrix.diagonal([I, I, I]),
+    [MultiSeries(3, 8, {(0, 2, 0): ec(Fraction(1, 4))}),
+     MultiSeries(3, 8, {(0, 0, 2): ec(Fraction(-1, 8))}),
+     MultiSeries(3, 8, {(1, 1, 0): ec(Fraction(1, 8))})])
+
+
 def test_poincare_center_verifies():
-    h = HoloSystem(
-        SmallMatrix.diagonal([I, I, I]),
-        [MultiSeries(3, 8, {(0, 2, 0): ec(Fraction(1, 4))}),
-         MultiSeries(3, 8, {(0, 0, 2): ec(Fraction(-1, 8))}),
-         MultiSeries(3, 8, {(1, 1, 0): ec(Fraction(1, 8))})])
-    report = enumerate_centers(h, order=8)[0]
-    result = check_isochronous(h, report, starts=6, radius=1e-2, tol=1e-6)
+    report = enumerate_centers(POINCARE_3D, order=8)[0]
+    result = check_isochronous(POINCARE_3D, report, starts=6, radius=1e-2,
+                               tol=1e-6)
     assert result.passed
+
+
+def test_verifying_a_poincare_center_loads_no_random_module():
+    # its starts are fixed directions, not draws; numpy before 2.0 loads
+    # numpy.random on import, so only modules loaded after numpy count
+    probe = "\n".join([
+        "import sys, numpy",
+        "loaded = set(sys.modules)",
+        "from bbcenter.centers import HoloSystem, enumerate_centers",
+        "from bbcenter.series import ExactComplex, MultiSeries",
+        "from bbcenter.spectra import SmallMatrix",
+        "from bbcenter.verify import check_isochronous",
+        "i = ExactComplex(0, 1)",
+        "h = HoloSystem(SmallMatrix.diagonal([i, i]),",
+        "               [MultiSeries(2, 8, {(0, 2): ExactComplex(1)}),",
+        "                MultiSeries.zero(2, 8)])",
+        "(report,) = enumerate_centers(h, order=8)",
+        "assert report.chart is None and check_isochronous(h, report).passed",
+        "print(sorted(m for m in set(sys.modules) - loaded",
+        "             if m.startswith('numpy.random')))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("starts", [1, 20, 1000])
+@pytest.mark.parametrize("h", [POINCARE_2D, POINCARE_3D], ids=["2d", "3d"])
+def test_isochronous_starts_are_fixed_and_on_distinct_lines(h, starts):
+    # every start on the sphere |z| = radius, the same set on every call,
+    # and no two on one complex line, even 1000 of them in C^2
+    (report,) = enumerate_centers(h, order=8)
+    assert report.chart is None
+    z = verify._manifold_starts(h, report, starts, 1e-2)
+    assert z.shape == (starts, h.dim)
+    assert np.all(abs(np.linalg.norm(z, axis=1) - 1e-2) <= 1e-12 * 1e-2)
+    assert np.array_equal(z, verify._manifold_starts(h, report, starts, 1e-2))
+    unit = z / np.linalg.norm(z, axis=1, keepdims=True)
+    overlap = abs(unit.conj() @ unit.T)
+    np.fill_diagonal(overlap, 0.0)
+    assert overlap.max() < 1 - 1e-3
 
 
 # compile_field against an independent evaluator: plain Python complex,
@@ -357,6 +409,41 @@ DEMO_3D = HoloSystem(SmallMatrix.diagonal([I, ec(0, 2), ec(1)]),
 JORDAN_2D = HoloSystem(SmallMatrix([[I, ec(1)], [ec(0), I]]),
                        [MultiSeries(2, 8, {(0, 2): ec(1)}),
                         MultiSeries(2, 8, {(2, 0): ec(Fraction(1, 2), 1)})])
+
+
+# the graph sampler against the exact layer: MultiSeries.eval_numeric of
+# the graph and of its exact derivative
+
+coefficients = st.builds(
+    lambda re, im, den: ec(Fraction(re, den), Fraction(im, den)),
+    st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+    st.integers(1, 1000))
+
+
+@st.composite
+def graphs(draw, order):
+    return MultiSeries(1, order, {(e,): c for e, c in draw(
+        st.dictionaries(st.integers(1, order), coefficients)).items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 20).flatmap(lambda n: st.tuples(graphs(n), graphs(n))),
+       st.sampled_from([1e-3, 1e-2, 0.5]),
+       st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=8))
+def test_sampled_graph_matches_the_exact_layer(pair, radius, angles):
+    # chart 1 between graphs 0 and 2; each sample agrees with the term-by-term
+    # evaluation to 1e-12 relative to the sum of the terms' moduli
+    t = radius * np.exp(1j * np.array(angles))
+    report = SimpleNamespace(chart=1, graphs=dict(zip((0, 2), pair)))
+    z, dz = verify._sample_graph(report, t)
+    assert np.array_equal(z[:, 1], t) and np.all(dz[:, 1] == 1)
+    for k, g in report.graphs.items():
+        moduli = {e: abs(c.to_complex()) for (e,), c in g.terms.items()}
+        scale = sum(m * radius ** e for e, m in moduli.items())
+        slope_scale = sum(e * m * radius ** (e - 1) for e, m in moduli.items())
+        assert np.all(abs(z[:, k] - g.eval_numeric([t])) <= 1e-12 * scale)
+        assert np.all(abs(dz[:, k] - g.derivative(0).eval_numeric([t]))
+                      <= 1e-12 * slope_scale)
 
 
 @pytest.mark.parametrize("radius", [0.3, 0.1])
@@ -612,3 +699,20 @@ def test_halving_goes_on_until_the_estimate_is_a_hundredth_of_tol():
                                                tol)
     assert message == "" and step < period / 32
     assert estimate <= tol / 100
+
+
+def test_halving_goes_on_while_the_estimate_is_above_64_eps():
+    # z' = 0.015 i z as classical RK4 from max|z0| = 1 over 2 pi: the first
+    # pair's estimate E is a few hundred eps, above the rounding level
+    # ESTIMATE_FLOOR = 64 eps, and still falls 16x per halving, so with a tol
+    # far below E the accepted run must be finer than the first pair's
+    def field(z):
+        return 0.015j * z
+
+    z0 = np.ones((1, 1), dtype=complex)
+    period, eps = 2 * math.pi, sys.float_info.epsilon
+    _, first, _, _ = _halving_runs(field, 0.0, z0, period, 16, math.inf)
+    assert 64 * eps < first < 640 * eps
+    _, estimate, step, message = _halving_runs(field, 0.0, z0, period, 16,
+                                               1e-30)
+    assert message == "" and step < period / 32 and estimate <= first / 4
