@@ -4,10 +4,14 @@ Two checks: integrate the field for exactly one predicted period from points
 on a computed manifold and measure the return error, and evaluate the
 invariance condition of the truncated graph on shrinking circles to watch
 the residual decay at the truncation order.  The period check uses Lawson
-RK4, which carries the rotation of the linear part exactly, at a step halved
-from 16 steps per period until the Richardson estimate of its error is far
-below the tolerance; ``integrate``, used for the order table, is classical
-RK4.
+RK4, which carries the rotation of the linear part exactly.  Its first sweep
+runs at steps c, c/2 and c/4 together, from c = min(period/4, 2/|A|), and
+the step halves until two conditions hold at the finest run h: the
+Richardson estimate E = max|z_2h - z_h| / 15 of its error is far below the
+tolerance, and the ratio max|z_4h - z_2h| / max|z_2h - z_h| lies in
+[8, 32], around the 16 of RK4's asymptotic range, so E can be trusted
+(or E is at the rounding level of the starts).  ``integrate``, used for
+the order table, is classical RK4.
 """
 
 import math
@@ -55,6 +59,8 @@ for r in reports:
     print(f"  max return error over 12 starts: {result.return_error:.3e}")
     print(f"  accepted RK4 step {result.step:.3g}, Richardson estimate of its "
           f"error {result.error_estimate:.3e}")
+    print(f"  order check |z_4h - z_2h| / |z_2h - z_h|: {result.ratio:.2f} "
+          f"(RK4's asymptotic 16; accepted in [8, 32])")
     print(f"  max invariance residual:         {result.residual_error:.3e}")
     print(f"  verdict: {'PASS' if result.passed else 'FAIL'}")
 print()

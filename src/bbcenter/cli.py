@@ -15,8 +15,8 @@ work (tracked powers x order^2 + terms x order, summed over the charts and
 counted over the orders actually solved, see ``briot_bouquet.exact_work``)
 past ``briot_bouquet.MAX_EXACT_WORK``, a result integer with more digits
 than the interpreter prints, a period beyond or below double range, a
-period whose first two RK4 runs (at the start step and half of it) need
-more than ``verify.MAX_RK4_STEPS`` steps or a
+period whose first RK4 sweep needs more than ``verify.MAX_RK4_STEPS``
+steps even at two levels (the start step and half of it) or a
 coefficient that ``verify`` cannot convert to a double, 4 verification
 failure (a diverging or non-finite run and step halving that reaches the
 cap included; a message names the cause, and errors that are not finite
@@ -41,7 +41,8 @@ from .centers import enumerate_centers
 from .errors import (BBCenterError, NotNormalized, ParseError,
                      UncertifiableSpectrum)
 from .spectra import numeric_spectrum
-from .verify import MAX_RK4_STEPS, STEPS_PER_PERIOD, check_isochronous
+from .verify import (MAX_RK4_STEPS, ORDER_RATIO, STEPS_PER_PERIOD,
+                     check_isochronous)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -102,9 +103,11 @@ def _build_parser():
     common(sub.add_parser("series", help="enumerate and print series coefficients"))
     verify_description = (
         "enumerate and verify numerically: Lawson RK4 (the rotation "
-        "i Im(diag A) exact) over one period from step "
-        f"min(period/{STEPS_PER_PERIOD}, 2/|A|), halved until the Richardson "
-        "estimate E is below tol/100 or 64 eps |z0|, or stops falling; pass iff "
+        "i Im(diag A) exact) over one period, first in one sweep at steps c, "
+        f"c/2 and c/4 from c = min(period/{STEPS_PER_PERIOD}, 2/|A|), then "
+        "halved until the Richardson estimate E = |z_2h - z_h|/15 is below "
+        "tol/100 with the order ratio |z_4h - z_2h|/|z_2h - z_h| in "
+        f"[{ORDER_RATIO[0]}, {ORDER_RATIO[1]}], or below 64 eps |z0|; pass iff "
         "return error + E <= tol and the residual decays at the series order; "
         f"at most {MAX_RK4_STEPS} steps per manifold")
     common(sub.add_parser(

@@ -14,12 +14,17 @@ G(z) = F(z) - S z in the frame that turns with S, the imaginary part of
 the diagonal of the normal-form linear part, so the rotation that sets
 the period is integrated exactly and only G limits the step; G keeps
 any hyperbolic part, under RK4's stability bound.  The step is chosen from
-the tolerance: runs at h and h/2 give the Richardson estimate
-E = max|z_h - z_{h/2}| / 15 of the finer run's error, and h halves from
-16 steps per period until E is far below the tolerance, stops falling or
-reaches the rounding level of the start points, so a pass bounds the
-integration error as well as the return error.  The first two runs share
-one sweep and its field calls.  The residual is sampled at two radii, where
+the tolerance.  One sweep runs three levels, at c, c/2 and c/4 with
+c = min(period/4, 2/|A|_inf), sharing its field calls.  The last two runs,
+at 2h and h, give the Richardson estimate E = max|z_2h - z_h| / 15 of the
+finer run's error, and with the run before them the order check: the ratio
+max|z_4h - z_2h| / max|z_2h - z_h| is 16 in RK4's asymptotic range.  h
+halves until E <= tol/100 with the ratio in [8, 32], or E reaches the
+rounding level of the start points, so a pass bounds the integration error
+as well as the return error, and runs outside the asymptotic range cannot
+make E undershoot it.  Where three levels would pass the step cap, the
+sweep runs c and c/2 and the next halving supplies the third run.  The
+residual is sampled at two radii, where
 a graph exact to order N must shrink like radius^(N+1).  Each manifold
 compiles G once, from the system with S taken out of its linear part
 exactly, to gathered monomials and one coefficient matrix; the residual
@@ -37,9 +42,9 @@ from dataclasses import dataclass
 from .errors import BBCenterError, IntegrationDiverged
 
 DIVERGENCE_BOUND = 1e3
-# the first run takes this many steps per period, or more when 2 / |A|_inf,
-# the edge of RK4's stability region, is the smaller step
-STEPS_PER_PERIOD = 16
+# the coarsest run takes this many steps per period, or more when
+# 2 / |A|_inf, the edge of RK4's stability region, is the smaller step
+STEPS_PER_PERIOD = 4
 MAX_RK4_STEPS = 100_000  # all the RK4 runs of one manifold together
 RESIDUAL_TOL = 1e-6
 # a residual below RESIDUAL_FLOOR * radius * max(1, |A|_inf) is rounding; above
@@ -51,6 +56,9 @@ RESIDUAL_SLACK = 1
 # rounding of the two runs (about sqrt(n) eps in n steps), which halving
 # cannot lower
 ESTIMATE_FLOOR = 64 * sys.float_info.epsilon
+# runs at 4h, 2h and h are in RK4's asymptotic range when
+# |z_4h - z_2h| / |z_2h - z_h|, 16 there, lies in this window
+ORDER_RATIO = (8, 32)
 # the RK4 phases e^{tS} are computed for this many steps at a time
 PHASE_BLOCK = 256
 
@@ -60,11 +68,13 @@ class VerifyResult:
     """Outcome of one manifold verification.
 
     ``return_error`` is the worst |z(T) - z(0)| over the sampled starts at
-    the accepted RK4 ``step`` and ``error_estimate`` the Richardson bound on
-    its integration error; ``residual_error`` is the worst invariance defect
-    on the sample grid.  The check passes iff return error plus estimate
-    sits below the tolerance and the residual below ``RESIDUAL_TOL``,
-    decaying at the truncation order.
+    the accepted RK4 ``step``, ``error_estimate`` the Richardson bound on
+    its integration error and ``ratio`` the order check's
+    max|z_4h - z_2h| / max|z_2h - z_h| there (NaN when two runs at the
+    rounding level were accepted without a third); ``residual_error`` is
+    the worst invariance defect on the sample grid.  The check passes iff
+    return error plus estimate sits below the tolerance and the residual
+    below ``RESIDUAL_TOL``, decaying at the truncation order.
     """
 
     return_error: float
@@ -74,6 +84,7 @@ class VerifyResult:
     message: str = ""
     step: float = math.nan
     error_estimate: float = math.inf
+    ratio: float = math.nan
 
 
 def compile_field(h):
@@ -149,7 +160,7 @@ def _lawson_step(field, w, phase, weight, advance):
     w += k1
 
 
-def _rk4_batch(field, rotation, states, t_final, step, pair=False):
+def _rk4_batch(field, rotation, states, t_final, step, levels=1):
     """Lawson RK4: classical RK4 on G in the frame that turns with the
     diagonal ``rotation`` S, for the field z' = G(z) + S z, so S itself is
     integrated exactly.
@@ -160,55 +171,53 @@ def _rk4_batch(field, rotation, states, t_final, step, pair=False):
     RK4.  The state is held as w = e^{-tS} z and each phase e^{tS} is taken
     from t, so the rounding of p does not build up over the run.
 
-    With ``pair`` the states also run at step / 2 in the same sweep, and
-    the end states at step and at step / 2 come back as a pair: the coarse
-    and the fine rows are stacked, each coarse step shares its four field
-    calls with the first of the two fine steps it spans, and the second
-    fine step runs on the fine rows alone.
+    With ``levels`` L > 1 the states also run at step / 2, ..., step / 2^(L-1)
+    in the same sweep, and the end states come back stacked, coarsest first,
+    in an array of shape (L,) + states.shape.  A coarse step spans 2^(L-1)
+    steps of the finest rows; the level with step / 2^j joins the s-th of
+    them when 2^(L-1-j) divides s, so every call steps a slice of the
+    stacked rows: for L = 3 all three levels in the first call, the two
+    finer in the third and the finest alone in the second and fourth.
     """
     import numpy as np
     n_steps = max(1, round(t_final / step))
     h = t_final / n_steps
     rotation = np.broadcast_to(np.asarray(rotation, dtype=complex),
                                np.shape(states)[-1:])
-
-    def run(rows, offsets, h):
-        """What steps ``rows`` by h (a float, or one per stacked half):
-        the offsets of each step's three phases from its start, in time
-        units, their RK4 weights and the step's advance."""
-        p = np.exp(0.5 * h * rotation)
-        weights = np.stack([h / 6, h / 3, h / 6]).reshape(offsets.shape + (1,))
-        return rows, offsets, weights, (0.5 * h * p, 0.5 * h, h * p)
-
-    if pair:
-        # time counts quarters of the coarse step h: a coarse step spans
-        # 0, 2, 4 of them, its first fine step 0, 1, 2 and the second 2, 3, 4
-        w = np.stack([states, states]).astype(complex)
-        runs = [run(w, np.array([[0, 0], [2, 1], [4, 2]]).reshape(3, 2, 1),
-                    np.array([h, 0.5 * h]).reshape(2, 1, 1)),
-                run(w[1], np.arange(2, 5).reshape(3, 1), 0.5 * h)]
-        per_step, unit = 4, 0.25 * h
-    else:
-        w = np.array(states, dtype=complex)
-        runs = [run(w, np.arange(3).reshape(3, 1), h)]
-        per_step, unit = 2, 0.5 * h
+    per_step = 2 ** levels  # time counts halves of the finest step
+    unit = h / per_step
+    # level j steps by h / 2^j: its phases lie 0, 2^(L-1-j) and 2^(L-j)
+    # time units after the step's start
+    half = 2 ** np.arange(levels - 1, -1, -1).reshape(-1, 1)
+    offsets = np.stack([0 * half, half, 2 * half])
+    step_h = (2 * half * unit).reshape(-1, 1, 1)
+    p = np.exp(0.5 * step_h * rotation)
+    weights = np.stack([step_h / 6, step_h / 3, step_h / 6])
+    advance = (0.5 * step_h * p, 0.5 * step_h, step_h * p)
+    w = np.array([states] * levels, dtype=complex)
+    runs = []
+    for s in range(per_step // 2):
+        # the levels j >= first join the s-th finest step: 2^(L-1-j) divides s
+        first = levels - (s & -s).bit_length() if s else 0
+        runs.append((w[first:], 2 * s + offsets[:, first:], weights[:, first:],
+                     tuple(a[first:] for a in advance)))
     for start in range(0, n_steps, PHASE_BLOCK):
         ks = np.arange(start, min(n_steps, start + PHASE_BLOCK))
+        times = (per_step * ks.reshape(-1, 1) + np.arange(per_step + 1)) * unit
+        grid = np.exp(np.multiply.outer(times, rotation))  # every time unit
         tables = []
-        for rows, offsets, weights, advance in runs:
-            times = (per_step * ks.reshape((-1,) + (1,) * offsets.ndim)
-                     + offsets) * unit
-            phase = np.exp(np.multiply.outer(times, rotation))
-            tables.append((rows, phase, phase.conj() * weights, advance))
+        for rows, at, weight, adv in runs:
+            phase = grid[:, at]
+            tables.append((rows, phase, phase.conj() * weight, adv))
         for i, k in enumerate(ks):
-            for rows, phase, weight, advance in tables:
-                _lawson_step(field, rows, phase[i], weight[i], advance)
+            for rows, phase, weight, adv in tables:
+                _lawson_step(field, rows, phase[i], weight[i], adv)
             if not (abs(w).max() <= DIVERGENCE_BOUND):  # a NaN state fails too
                 raise IntegrationDiverged(
                     f"state norm exceeded {DIVERGENCE_BOUND} or is not finite "
                     f"at t = {(k + 1) * h:.6g}")
-    z = np.exp(per_step * n_steps * unit * rotation) * w
-    return (z[0], z[1]) if pair else z
+    z = np.exp(n_steps * h * rotation) * w
+    return z if levels > 1 else z[0]
 
 
 def integrate(h, z0, t_final, step):
@@ -297,37 +306,45 @@ def _halving_runs(field, rotation, z0, period, n_steps, tol):
     """Lawson RK4 runs of ``field`` G from z0 over one period in n_steps,
     2 n_steps, 4 n_steps ...
 
-    The first two runs come from one paired sweep; each later halving is one
-    more run.  Each pair of runs gives the Richardson estimate
-    E = max|z_h - z_{h/2}| / 15 of the finer run's error, and the cap counts
-    every step of every run (3 n_steps for the first pair).  Returns the
-    finer end state, E, its step and a message: empty once E <= tol / 100,
-    E stops falling or E <= ``ESTIMATE_FLOOR`` max|z0|, else naming the cap
-    when the next halving would pass ``MAX_RK4_STEPS`` steps.  The caller
-    checks that the first pair fits the cap.
+    The first sweep stacks three levels, n_steps, 2 n_steps and 4 n_steps,
+    or only the first two when three would pass ``MAX_RK4_STEPS``; each
+    halving is one more run.  The last two runs, at 2h and h, give the
+    Richardson estimate E = max|z_2h - z_h| / 15 of the finest run's error
+    and, with the run before them, the order check: the ratio
+    max|z_4h - z_2h| / max|z_2h - z_h| is about 16 in RK4's asymptotic
+    range.  Returns the finest end state, E, the ratio (NaN without a third
+    run), the step h and a message: empty once E <= tol / 100 with the ratio
+    in ``ORDER_RATIO``, or E <= ``ESTIMATE_FLOOR`` max|z0|, else naming the
+    cap when the next halving would pass ``MAX_RK4_STEPS`` steps.  The cap
+    counts every step of every run (7 n_steps for a three-level sweep, 3
+    n_steps for two); the caller checks that the two-level sweep fits it.
     """
-    coarse, fine = _rk4_batch(field, rotation, z0, period, period / n_steps,
-                              pair=True)
-    used, previous = 3 * n_steps, math.inf
+    levels = 3 if 7 * n_steps <= MAX_RK4_STEPS else 2
+    ends = _rk4_batch(field, rotation, z0, period, period / n_steps,
+                      levels=levels)
+    gaps = [float(abs(b - a).max()) for a, b in zip(ends, ends[1:])]
+    fine, used = ends[-1], (2 ** levels - 1) * n_steps
+    n_steps <<= levels - 1  # steps of the finest run
+    low, high = ORDER_RATIO
     while True:
-        n_steps *= 2  # steps of the finer run
-        estimate = float(abs(fine - coarse).max()) / 15
-        step = period / n_steps
-        if (estimate <= tol / 100 or estimate >= previous / 4
+        estimate, step = gaps[-1] / 15, period / n_steps
+        ratio = gaps[-2] / gaps[-1] if len(gaps) > 1 and gaps[-1] else math.nan
+        if (estimate <= tol / 100 and low <= ratio <= high
                 or estimate <= ESTIMATE_FLOOR * abs(z0).max()):
-            return fine, estimate, step, ""
-        if used + 2 * n_steps > MAX_RK4_STEPS:
-            return fine, estimate, step, (
+            return fine, estimate, ratio, step, ""
+        n_steps *= 2
+        if used + n_steps > MAX_RK4_STEPS:
+            return fine, estimate, ratio, step, (
                 f"halving the RK4 step below {step:.3g} would pass the cap of "
                 f"{MAX_RK4_STEPS} steps; the error estimate there is "
                 f"{estimate:.3g}, tol {tol:g}")
-        coarse, previous = fine, estimate
-        fine = _rk4_batch(field, rotation, z0, period, step / 2)
-        used += 2 * n_steps
+        finer = _rk4_batch(field, rotation, z0, period, step / 2)
+        gaps.append(float(abs(finer - fine).max()))
+        fine, used = finer, used + n_steps
 
 
 def _start_steps(period, norm):
-    """Steps of the first run: the start step is the smaller of
+    """Steps of the coarsest run: its step c is the smaller of
     period / ``STEPS_PER_PERIOD`` and 2 / |A|_inf."""
     return max(STEPS_PER_PERIOD, math.ceil(period * norm / 2))
 
@@ -354,21 +371,23 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
     """Integrate sampled manifold points for one predicted period each.
 
     Lawson RK4 turns with S = i Im(diag A) for the linear part A, so the
-    rotation is exact, and starts at step min(period / ``STEPS_PER_PERIOD``,
-    2 / |A|_inf); the second bound keeps every h*lambda of the rest of the
-    field inside RK4's stability region.  The step halves while the
-    Richardson estimate E of the finer run's error is above tol / 100 and
-    ``ESTIMATE_FLOOR`` max|z0| and still falling.  The check passes iff
-    every start returns to itself with return error + E <= ``tol`` and the
-    invariance residual is at most ``RESIDUAL_TOL`` and, above its rounding
-    floor, shrinks at least like radius^(N + 1 - ``RESIDUAL_SLACK``) from
-    radius to radius / 2 for a graph of order N.  A graph that cannot be
+    rotation is exact, and its first sweep runs at c, c/2 and c/4 from
+    c = min(period / ``STEPS_PER_PERIOD``, 2 / |A|_inf); the second bound
+    keeps every c*lambda of the rest of the field inside RK4's stability
+    region.  The step halves until the Richardson estimate E of the finest
+    run's error is at most tol / 100 with the order check's ratio in
+    ``ORDER_RATIO``, or at most ``ESTIMATE_FLOOR`` max|z0| (see
+    ``_halving_runs``).  The check passes iff every start returns to itself
+    with return error + E <= ``tol`` and the invariance residual is at most
+    ``RESIDUAL_TOL`` and, above its rounding floor, shrinks at least like
+    radius^(N + 1 - ``RESIDUAL_SLACK``) from radius to radius / 2 for a
+    graph of order N.  A graph that cannot be
     sampled inside the radius, divergence (a non-finite state included) and
     halving that would pass ``MAX_RK4_STEPS`` steps are reported as a failed
     result with a message, not as an exception.  ``BBCenterError`` is
-    raised when the first two runs alone need more than ``MAX_RK4_STEPS``
-    steps, before any work, and for a coefficient or value beyond double
-    range, the period's included.
+    raised when even a two-level first sweep (c and c/2) needs more than
+    ``MAX_RK4_STEPS`` steps, before any work, and for a coefficient or
+    value beyond double range, the period's included.
     """
     import numpy as np
     if report.multiplicity == "none":
@@ -382,7 +401,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
         if 3 * n_steps > MAX_RK4_STEPS:
             raise BBCenterError(
                 f"period {period:.6g} needs {3 * n_steps} RK4 steps for its "
-                f"first two runs, at steps {period / n_steps:.3g} and half "
+                f"first sweep, at steps {period / n_steps:.3g} and half "
                 f"that; the cap is {MAX_RK4_STEPS}")
         # overflow and NaN are handled below, so numpy need not warn of them
         with np.errstate(over="ignore", invalid="ignore"):
@@ -393,7 +412,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
                     math.inf, math.inf, period, False,
                     "the truncated graph cannot be sampled inside radius "
                     f"{radius:g}")
-            z1, estimate, step, message = _halving_runs(
+            z1, estimate, ratio, step, message = _halving_runs(
                 field, rotation, z0, period, n_steps, tol)
             return_error = float(abs(z1 - z0).max())
             residual_error, residual_message = _residual_decay(
@@ -408,7 +427,7 @@ def check_isochronous(h, report, starts=20, radius=1e-2, tol=1e-6):
     passed = (not message and return_error + estimate <= tol
               and residual_error <= RESIDUAL_TOL)
     return VerifyResult(return_error, residual_error, period, passed, message,
-                        step, estimate)
+                        step, estimate, ratio)
 
 
 def check_residual_numeric(field, report, grid=16, radius=1e-2):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -359,21 +360,25 @@ def test_cli_verify_help_states_radius_and_tol(capsys):
     assert "positive and finite (default 1e-2)" in text
     assert "positive and finite (default 1e-6)" in text
     assert f"min(period/{verify.STEPS_PER_PERIOD}, 2/|A|)" in text
+    assert "one sweep at steps c, c/2 and c/4" in text
+    low, high = verify.ORDER_RATIO
+    assert f"|z_4h - z_2h|/|z_2h - z_h| in [{low}, {high}]" in text
 
 
 def test_cli_verify_unreachable_tol_stops_halving_at_rounding(tmp_path, capsys,
                                                               monkeypatch):
-    # both manifolds are exact rotations, so the first pair's Richardson
+    # both manifolds are exact rotations, so the first sweep's Richardson
     # estimate is already at the rounding level of the starts, where halving
     # further only stirs rounding; halving until E stops falling would take
-    # many more steps; the first pair (n steps and 2 n in one sweep) counts
-    # as 3 n
+    # many more steps.  Each manifold takes its first sweep alone, three
+    # levels (n, 2 n and 4 n steps in one sweep) counted as 7 n: n = 7 on
+    # chart x (period 2 pi, 2 / |A| = 1) and 4 on chart y (period pi)
     steps = []
     rk4 = verify._rk4_batch
 
-    def counted(field, rotation, states, t_final, step, pair=False):
-        steps.append((3 if pair else 1) * max(1, round(t_final / step)))
-        return rk4(field, rotation, states, t_final, step, pair=pair)
+    def counted(field, rotation, states, t_final, step, levels=1):
+        steps.append((2 ** levels - 1) * max(1, round(t_final / step)))
+        return rk4(field, rotation, states, t_final, step, levels=levels)
 
     monkeypatch.setattr(verify, "_rk4_batch", counted)
     path = write_doc(tmp_path, toggle_doc(0))
@@ -383,7 +388,7 @@ def test_cli_verify_unreachable_tol_stops_halving_at_rounding(tmp_path, capsys,
               ["manifolds"] if "verification" in m]
     assert len(blocks) == 2 and not any(b["pass"] for b in blocks)
     assert not any("message" in b for b in blocks)
-    assert sum(steps) <= 50_000
+    assert steps == [7 * 7, 7 * 4]
 
 
 @pytest.mark.parametrize("command", ["classify", "verify"])
@@ -420,7 +425,8 @@ def test_cli_period_below_double_range_is_refused(tmp_path, capsys, command):
 
 def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):
     # x' = (i/1000) x, y' = -50 y + x^2: period 2000 pi at the stability
-    # bound 2/50, 157080 + 314160 = 471240 steps for the first two runs
+    # bound 2/50, 157080 + 314160 = 471240 steps for the smallest first
+    # sweep, two levels
     doc = {"variables": ["x", "y"], "equations": [
         [mono((0, 1, 1, 1000), (1, 0))],
         [mono(-50, (0, 1)), mono(1, (2, 0))],
@@ -431,6 +437,7 @@ def test_cli_verify_refuses_period_beyond_rk4_cap(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert f"error: {path}:" in err and "471240 RK4 steps" in err
+    assert "for its first sweep" in err
     assert str(MAX_RK4_STEPS) in err
 
 
@@ -444,8 +451,9 @@ def stiff_doc(lam):
 
 def test_cli_verify_halving_cap_is_a_failure_not_a_refusal(tmp_path, capsys,
                                                            monkeypatch):
-    # lam = -1 at radius 0.3: the estimate still falls 16x per halving at
-    # 256 steps (E ~ 4e-11), and the next halving passes a cap of 500
+    # lam = -1 at radius 0.3: a sweep of 4, 8 and 16 steps, then 32, 64 and
+    # 128 (252 in all), where the estimate still falls about 16x per halving
+    # (E ~ 6e-10); the next halving, 256 more steps, passes a cap of 500
     monkeypatch.setattr(verify, "MAX_RK4_STEPS", 500)
     path = write_doc(tmp_path, stiff_doc(-1))
     assert cli.main(["verify", path, "--order", "8", "--radius", "0.3",
@@ -456,15 +464,17 @@ def test_cli_verify_halving_cap_is_a_failure_not_a_refusal(tmp_path, capsys,
                 if "verification" in m]
     assert block["pass"] is False
     assert "cap of 500 steps" in block["message"]
+    assert f"step below {2 * math.pi / 128:.3g} would" in block["message"]
     assert "the error estimate there is " in block["message"]
 
 
 def test_cli_verify_rounding_level_estimate_does_not_blame_the_cap(
         tmp_path, capsys, monkeypatch):
-    # lam = -5000: the start step is 2/5000, whose first two runs take 47124
-    # steps and leave E at the rounding level of the starts; an unreachable
-    # tolerance fails there, and the cap (a third run would pass it) is not
-    # the cause
+    # lam = -5000: the start step is 2/5000, 15708 steps per period, where
+    # three levels (109956 steps) would pass the cap; the two-level first
+    # sweep takes 47124 steps and leaves E at the rounding level of the
+    # starts; an unreachable tolerance fails there, and the cap (a third run
+    # would pass it) is not the cause
     results = []
     check = cli.check_isochronous
 
@@ -482,6 +492,8 @@ def test_cli_verify_rounding_level_estimate_does_not_blame_the_cap(
     assert block["pass"] is False and "message" not in block
     (result,) = results
     assert result.error_estimate <= 64 * sys.float_info.epsilon * 1e-2
+    assert result.step == pytest.approx(2 * math.pi / 31416)
+    assert math.isnan(result.ratio)
 
 
 def test_cli_verify_strict_tolerance_on_the_verify_corpus(monkeypatch, capsys):

@@ -102,14 +102,17 @@ def test_integrate_is_classical_rk4():
 @pytest.mark.parametrize("chart", [0, 1])
 def test_rotation_is_exact(scale, chart):
     # diag(i, 3i) scaled: periods 2 pi / 3, 2 pi, 2000 pi / 3 and 2000 pi;
-    # the Lawson step carries the whole field, so the first pair of runs
-    # (16 and 32 steps) returns to z0 at the rounding level and is accepted
+    # the Lawson step carries the whole field, so the first sweep returns to
+    # z0 at the rounding level and its finest run is accepted: 4, 8 and 16
+    # steps on chart y, and on chart x, where 2 / |A| = 2 / (3 scale) is
+    # the shorter start step, ceil(period |A| / 2) = 10, 20 and 40
     h = HoloSystem(SmallMatrix.diagonal([ec(0, scale), ec(0, 3 * scale)]),
                    [MultiSeries.zero(2, 8)] * 2)
     (report,) = [r for r in enumerate_centers(h, order=8) if r.chart == chart]
     result = check_isochronous(h, report, starts=8, radius=0.1)
     assert result.passed, result
-    assert result.step == pytest.approx(result.predicted_period / 32)
+    finest = {0: 40, 1: 16}[chart]
+    assert result.step == pytest.approx(result.predicted_period / finest)
     assert result.return_error <= 64 * sys.float_info.epsilon * 0.1
     assert result.error_estimate <= 64 * sys.float_info.epsilon * 0.1
 
@@ -505,9 +508,10 @@ def test_graph_that_ignores_an_obstruction_fails(p):
 
 
 def test_halving_that_reaches_the_cap_fails_with_a_message(monkeypatch):
-    # chart x of DEMO_3D at radius 0.1: period 2 pi in 16, 32, ... 256 steps
-    # (496 in all), where E = 5e-10 is still falling 16x per halving; the
-    # next halving needs 512 more, past a cap of 500
+    # chart x of DEMO_3D at radius 0.1: period 2 pi from the step
+    # 2 / |A| = 1 in a sweep of 7, 14 and 28 steps, then 56, 112 and 224
+    # (441 in all), where E is still falling about 16x per halving; the
+    # next halving needs 448 more, past a cap of 500
     monkeypatch.setattr(verify, "MAX_RK4_STEPS", 500)
     reports = {r.chart: r for r in enumerate_centers(DEMO_3D, order=8)}
     result = check_isochronous(DEMO_3D, reports[0], starts=4,
@@ -515,7 +519,8 @@ def test_halving_that_reaches_the_cap_fails_with_a_message(monkeypatch):
     assert not result.passed
     assert "cap of 500 steps" in result.message
     assert f"error estimate there is {result.error_estimate:.3g}" in result.message
-    assert result.step == pytest.approx(2 * math.pi / 256)
+    assert result.step == pytest.approx(2 * math.pi / 224)
+    assert 8 <= result.ratio <= 32
     assert math.isfinite(result.return_error) and result.error_estimate > 0
 
 
@@ -525,9 +530,9 @@ def test_pass_counts_the_error_estimate_against_tol(monkeypatch):
     halving = verify._halving_runs
 
     def pessimistic(field, rotation, z0, period, n_steps, tol):
-        fine, _, step, message = halving(field, rotation, z0, period, n_steps,
-                                         tol)
-        return fine, tol, step, message
+        fine, _, ratio, step, message = halving(field, rotation, z0, period,
+                                                n_steps, tol)
+        return fine, tol, ratio, step, message
 
     monkeypatch.setattr(verify, "_halving_runs", pessimistic)
     reports = {r.chart: r for r in enumerate_centers(axis_system(), order=8)}
@@ -554,6 +559,18 @@ def fast_or_stiff_fields(draw):
     return HoloSystem(SmallMatrix(rows), h.nonlinear), shape, points
 
 
+# x' = -50x, y' = 139i y + y^2 - x^2 from 0.05 (1, (-1 + i)/2) over 1: the
+# 70-step run's error is anomalously small, so the (70, 140) pair alone
+# gave E = 1.5e-9 against a 140-step error of 5.9e-9
+STIFF_FAST_2D = HoloSystem(
+    SmallMatrix.diagonal([ec(-50), ec(0, 139)]),
+    [MultiSeries.zero(2, 4), MultiSeries(2, 4, {(0, 2): ec(1), (2, 0): ec(-1)})])
+# z' = 41i z + (1+i) z^2 + i z^4 from 0.05i over 0.75: the (16, 32) pair
+# gave error / E = 3.56, its 16-step error 7.0e-8 not 16 x 1.46e-8
+FAST_QUARTIC_1D = HoloSystem(SmallMatrix([[ec(0, 41)]]),
+                             [MultiSeries(1, 4, {(2,): ec(1, 1), (4,): I})])
+
+
 @settings(max_examples=100, deadline=None)
 @given(fast_or_stiff_fields(), st.floats(0.25, 1.0),
        st.sampled_from([1e-4, 1e-6, 1e-8]))
@@ -561,6 +578,8 @@ def fast_or_stiff_fields(draw):
 @example((HoloSystem(SmallMatrix.diagonal([ec(0, 200), ec(-3, 200)]),
                      stiff_system(-5000).nonlinear), (2,), [[1, 1j]]),
          0.25, 1e-8)
+@example((STIFF_FAST_2D, (2,), [[1, (-1 + 1j) / 2]]), 1.0, 1e-4)
+@example((FAST_QUARTIC_1D, (1,), [[1j]]), 0.75, 1e-4)
 def test_richardson_estimate_bounds_the_finer_run(case, period, tol):
     # from the start rule's step, the accepted Lawson run's error, measured
     # against a run at half its step, is at most twice the estimate or at
@@ -578,7 +597,7 @@ def test_richardson_estimate_bounds_the_finer_run(case, period, tol):
     field = compile_field(_without_rotation(h))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            fine, estimate, step, _ = _halving_runs(
+            fine, estimate, _, step, _ = _halving_runs(
                 field, rotation, z0, period, n_steps, tol)
             finer = _rk4_batch(field, rotation, z0, period, step / 2)
     except IntegrationDiverged:
@@ -589,13 +608,10 @@ def test_richardson_estimate_bounds_the_finer_run(case, period, tol):
     assert error <= 2 * estimate or error <= floor, (error, estimate, floor)
 
 
-# the first Richardson pair in one sweep
+# the first sweep: three levels, or two for a stiff start, in one run
 
-@settings(max_examples=100, deadline=None)
-@given(fast_or_stiff_fields(), st.floats(0.25, 1.0))
-@example((stiff_system(-5000), (2,), [[1, 1]]), 1.0)
-def test_pair_matches_two_single_runs(case, period):
-    # the stacked sweep makes the same steps as a run at h and a run at h/2
+def sweep_matches_single_runs(case, period, levels):
+    """The stacked sweep makes the same steps as one run per level."""
     h, _, points = case
     z0 = np.array(points, dtype=complex).reshape(-1, h.dim)
     z0 = 0.05 * z0 / max(1.0, float(abs(z0).max()))
@@ -605,27 +621,43 @@ def test_pair_matches_two_single_runs(case, period):
     period = min(period, 200 / max(norm, 200))
     n_steps = _start_steps(period, norm)
     field = compile_field(_without_rotation(h))
+    counts = [n_steps * 2 ** j for j in range(levels)]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             singles = [_rk4_batch(field, rotation, z0, period, period / n)
-                       for n in (n_steps, 2 * n_steps)]
+                       for n in counts]
         except IntegrationDiverged:
             with pytest.raises(IntegrationDiverged):
                 _rk4_batch(field, rotation, z0, period, period / n_steps,
-                           pair=True)
+                           levels=levels)
             return
-        pair = _rk4_batch(field, rotation, z0, period, period / n_steps,
-                          pair=True)
-    for n, single, paired in zip((n_steps, 2 * n_steps), singles, pair):
+        sweep = _rk4_batch(field, rotation, z0, period, period / n_steps,
+                           levels=levels)
+    assert sweep.shape == (levels,) + z0.shape
+    for n, single, swept in zip(counts, singles, sweep):
         scale = max(float(abs(single).max()), float(abs(z0).max()))
-        assert paired.shape == z0.shape
-        assert (float(abs(paired - single).max())
+        assert (float(abs(swept - single).max())
                 <= 64 * sys.float_info.epsilon * n * scale)
 
 
-def test_first_pair_makes_eight_field_calls_per_coarse_step():
-    # 4 n stacked calls plus 4 n on the fine rows alone, where two runs
-    # took 4 n + 8 n; an exact rotation accepts at the first pair
+@settings(max_examples=100, deadline=None)
+@given(fast_or_stiff_fields(), st.floats(0.25, 1.0))
+@example((stiff_system(-5000), (2,), [[1, 1]]), 1.0)
+def test_pair_matches_two_single_runs(case, period):
+    # the two-level sweep of a stiff start: runs at h and h/2
+    sweep_matches_single_runs(case, period, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fast_or_stiff_fields(), st.floats(0.25, 1.0))
+@example((stiff_system(-5000), (2,), [[1, 1]]), 1.0)
+def test_sweep_matches_three_single_runs(case, period):
+    # the three-level sweep: runs at h, h/2 and h/4
+    sweep_matches_single_runs(case, period, 3)
+
+
+def counted_axis_field():
+    """G of axis_system and the list of the shapes it is called on."""
     calls = []
     field = compile_field(_without_rotation(axis_system()))
 
@@ -633,38 +665,88 @@ def test_first_pair_makes_eight_field_calls_per_coarse_step():
         calls.append(z.shape)
         return field(z)
 
-    rotation = np.array([1j, 3j, 0])
-    z0 = np.full((4, 3), 0.01 + 0j)
-    z0[:, 2] = 0.0  # off the hyperbolic z-axis
-    fine, estimate, step, message = _halving_runs(
-        counted, rotation, z0, 2 * math.pi, 16, 1e-6)
+    return counted, calls
+
+
+# rows off the hyperbolic z-axis of axis_system, where G is 0
+AXIS_STARTS = np.array([[0.01, 0.01, 0]] * 4, dtype=complex)
+
+
+def test_first_sweep_makes_sixteen_field_calls_per_coarse_step():
+    # three levels from 4 coarse steps: per coarse step the finest rows make
+    # four steps, the middle rows join the first and third and the coarse
+    # rows the first, so 16 n stacked calls where three runs took
+    # 4 n + 8 n + 16 n; an exact rotation accepts the finest run
+    counted, calls = counted_axis_field()
+    fine, estimate, ratio, step, message = _halving_runs(
+        counted, np.array([1j, 3j, 0]), AXIS_STARTS, 2 * math.pi, 4, 1e-6)
+    assert message == "" and step == pytest.approx(2 * math.pi / 16)
+    assert len(calls) == 16 * 4
+    assert calls == ([(3, 4, 3)] * 4 + [(1, 4, 3)] * 4 + [(2, 4, 3)] * 4
+                     + [(1, 4, 3)] * 4) * 4
+
+
+def test_first_pair_makes_eight_field_calls_per_coarse_step(monkeypatch):
+    # a start whose three levels (7 n = 112 steps) would pass the cap sweeps
+    # two: 4 n stacked calls plus 4 n on the fine rows alone, where two runs
+    # took 4 n + 8 n; an exact rotation accepts the pair at the rounding
+    # level, with no third run for the ratio
+    monkeypatch.setattr(verify, "MAX_RK4_STEPS", 100)
+    counted, calls = counted_axis_field()
+    fine, estimate, ratio, step, message = _halving_runs(
+        counted, np.array([1j, 3j, 0]), AXIS_STARTS, 2 * math.pi, 16, 1e-6)
     assert message == "" and step == pytest.approx(2 * math.pi / 32)
+    assert math.isnan(ratio)
     assert len(calls) == 8 * 16
-    assert calls.count((2, 4, 3)) == calls.count((4, 3)) == 4 * 16
+    assert calls == ([(2, 4, 3)] * 4 + [(1, 4, 3)] * 4) * 16
 
 
 def test_pair_divergence_in_the_coarse_half_raises():
     # z' = -z: the coarse step 3.5 lies outside RK4's stability region, so
-    # the coarse rows grow 2.73x per step, while the fine step 1.75 decays
+    # the coarse rows grow 2.73x per step, while the finer steps 1.75 and
+    # 0.875 decay; a sweep of two or three levels raises alike
     def field(z):
         return -z
 
     z0 = np.ones((2, 1), dtype=complex)
     _rk4_batch(field, 0.0, z0, 35.0, 1.75)
-    with pytest.raises(IntegrationDiverged, match=r"exceeded .* at t = 24\.5$"):
-        _rk4_batch(field, 0.0, z0, 35.0, 3.5, pair=True)
+    _rk4_batch(field, 0.0, z0, 35.0, 0.875)
+    for levels in (2, 3):
+        with pytest.raises(IntegrationDiverged,
+                           match=r"exceeded .* at t = 24\.5$"):
+            _rk4_batch(field, 0.0, z0, 35.0, 3.5, levels=levels)
 
 
 def test_pair_nan_in_the_fine_half_raises():
-    # z' = -z, NaN below |z| = 0.05: the fine rows' second stage reaches
-    # 0.035 in their second step, the coarse rows' stages stay above 0.75
+    # z' = -z, NaN below |z| = 0.05: the rows at 1.75 reach 0.035 at the
+    # second stage of their second step, the rows at 0.875 fall below 0.05
+    # before t = 3.5 too, and the coarse rows' stages stay above 0.75
     def field(z):
         return np.where(abs(z) < 0.05, math.nan, -z)
 
     z0 = np.ones((2, 1), dtype=complex)
     _rk4_batch(field, 0.0, z0, 10.5, 3.5)
-    with pytest.raises(IntegrationDiverged, match=r"not finite at t = 3\.5$"):
-        _rk4_batch(field, 0.0, z0, 10.5, 3.5, pair=True)
+    for levels in (2, 3):
+        with pytest.raises(IntegrationDiverged,
+                           match=r"not finite at t = 3\.5$"):
+            _rk4_batch(field, 0.0, z0, 10.5, 3.5, levels=levels)
+
+
+@pytest.mark.parametrize("levels, level",
+                         [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_sweep_nan_in_any_level_raises(levels, level):
+    # z' = -z with NaN in the rows of one level only: a call steps the m
+    # finest levels, levels - m to levels - 1, stacked on its first axis
+    def field(z):
+        out = -z
+        joined = levels - z.shape[0]
+        if level >= joined:
+            out[level - joined] = math.nan
+        return out
+
+    z0 = np.ones((2, 1), dtype=complex)
+    with pytest.raises(IntegrationDiverged, match=r"not finite at t = 0\.5$"):
+        _rk4_batch(field, 0.0, z0, 1.5, 0.5, levels=levels)
 
 
 # the give-up radius of the starts and the acceptance level of the estimate
@@ -684,35 +766,82 @@ def test_starts_move_inward_until_a_steep_graph_fits():
 
 
 def test_halving_goes_on_until_the_estimate_is_a_hundredth_of_tol():
-    # chart x of DEMO_3D at radius 0.1, period 2 pi in 16 and 32 steps: with
-    # tol at 20 times the first pair's estimate E, E is above tol / 100, so
-    # the accepted run takes at least one halving and its E at most tol / 100
+    # chart x of DEMO_3D at radius 0.1, period 2 pi from the start step
+    # 2 / |A| = 1 in a sweep of 7, 14 and 28 steps: with tol at 20 times the
+    # sweep's estimate E, E is above tol / 100, so the accepted run takes at
+    # least one halving and its E at most tol / 100
     (report,) = [r for r in enumerate_centers(DEMO_3D, order=8) if r.chart == 0]
     z0 = verify._manifold_starts(DEMO_3D, report, 4, 0.1)
     field = compile_field(_without_rotation(DEMO_3D))
     rotation = np.array([1j, 2j, 0])
     period = 2 * math.pi
-    _, first, step, _ = _halving_runs(field, rotation, z0, period, 16, math.inf)
-    assert step == pytest.approx(period / 32) and first > 0
+    assert _start_steps(period, 2.0) == 7
+    _, first, ratio, step, _ = _halving_runs(field, rotation, z0, period, 7,
+                                             math.inf)
+    assert step == pytest.approx(period / 28) and first > 0
+    assert 8 <= ratio <= 32
     tol = 20 * first
-    _, estimate, step, message = _halving_runs(field, rotation, z0, period, 16,
-                                               tol)
-    assert message == "" and step < period / 32
-    assert estimate <= tol / 100
+    _, estimate, ratio, step, message = _halving_runs(field, rotation, z0,
+                                                      period, 7, tol)
+    assert message == "" and step < period / 28
+    assert estimate <= tol / 100 and 8 <= ratio <= 32
 
 
 def test_halving_goes_on_while_the_estimate_is_above_64_eps():
     # z' = 0.015 i z as classical RK4 from max|z0| = 1 over 2 pi: the first
-    # pair's estimate E is a few hundred eps, above the rounding level
+    # sweep's estimate E is about 4,258 eps, above the rounding level
     # ESTIMATE_FLOOR = 64 eps, and still falls 16x per halving, so with a tol
-    # far below E the accepted run must be finer than the first pair's
+    # far below E the accepted run is the first at the rounding level, two
+    # halvings past the sweep's finest run of 16 steps
     def field(z):
         return 0.015j * z
 
     z0 = np.ones((1, 1), dtype=complex)
     period, eps = 2 * math.pi, sys.float_info.epsilon
-    _, first, _, _ = _halving_runs(field, 0.0, z0, period, 16, math.inf)
-    assert 64 * eps < first < 640 * eps
-    _, estimate, step, message = _halving_runs(field, 0.0, z0, period, 16,
-                                               1e-30)
-    assert message == "" and step < period / 32 and estimate <= first / 4
+    _, first, ratio, _, _ = _halving_runs(field, 0.0, z0, period, 4, math.inf)
+    assert first == pytest.approx(4258 * eps, rel=1e-3)
+    assert ratio == pytest.approx(16, rel=1e-3)
+    _, estimate, _, step, message = _halving_runs(field, 0.0, z0, period, 4,
+                                                  1e-30)
+    assert message == "" and step == pytest.approx(period / 64)
+    assert estimate <= verify.ESTIMATE_FLOOR < first / 4
+
+
+def prescribed_runs(ends):
+    """An _rk4_batch stand-in: the run in n steps ends at ends[n] on every
+    row; it records each run's step count."""
+    made = []
+
+    def rk4(field, rotation, states, t_final, step, levels=1):
+        n = round(t_final / step)
+        made.extend(n * 2 ** j for j in range(levels))
+        out = np.array([np.full(np.shape(states), ends[n * 2 ** j],
+                                dtype=complex) for j in range(levels)])
+        return out if levels > 1 else out[0]
+
+    return rk4, made
+
+
+@pytest.mark.parametrize("ratio", [2, 5, 8, 16, 32, 40])
+def test_an_estimate_under_tol_halves_while_the_ratio_is_outside_8_to_32(
+        monkeypatch, ratio):
+    # runs in 4, 8 and 16 steps whose gaps are ratio d and d, d = 2^-20, so
+    # E = d / 15 <= tol / 100 from the first sweep on; the 32-step run's gap
+    # is d / 16.  Only a ratio in [8, 32] accepts the sweep's finest run;
+    # outside it, whether E fell too little (2, 5) or too much (40), the
+    # step halves and the next triple, at ratio 16, accepts
+    d = 2.0 ** -20
+    rk4, made = prescribed_runs({4: (1 + ratio) * d, 8: d, 16: 0.0,
+                                 32: -d / 16})
+    monkeypatch.setattr(verify, "_rk4_batch", rk4)
+    tol = 1e-3
+    _, estimate, accepted, step, message = _halving_runs(
+        None, 0.0, np.ones((1, 1), dtype=complex), 1.0, 4, tol)
+    assert message == ""
+    if 8 <= ratio <= 32:
+        assert made == [4, 8, 16] and step == 1 / 16
+        assert (estimate, accepted) == (d / 15, ratio)
+    else:
+        assert made == [4, 8, 16, 32] and step == 1 / 32
+        assert (estimate, accepted) == (d / 16 / 15, 16)
+    assert estimate <= tol / 100
