@@ -22,10 +22,11 @@ refuses more than ``MAX_EXACT_WORK``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (BBCenterError, BlockedStep, DimensionMismatch,
                      OrderTooSmall, ResonantEigenvalue)
-from .series import EC_ONE, EC_ZERO, ExactComplex, MultiSeries, _dot
+from .series import ExactComplex, MultiSeries, _ec
 from .spectra import SmallMatrix, positive_integer_eigenvalues, solve_affine
 
 KIND_NO_SOLUTION = "no_solution"
@@ -161,6 +162,48 @@ def check_exact_work(work):
             "--order or the degree of the system")
 
 
+def _over_lcm(terms, powers):
+    """A row's terms c x^e0 y^e over the lcm q of their denominators: q and,
+    per x exponent e0 in ascending order, the (values of y^e, a, b) of its
+    terms, with c = (a + b i) / q."""
+    q = lcm(*(c.d for c in terms.values()))
+    groups = {}
+    for e, c in terms.items():
+        f = q // c.d
+        groups.setdefault(e[0], []).append((powers[e[1:]], c.a * f, c.b * f))
+    return q, sorted(groups.items())
+
+
+def _gauss_dot(xs, ys):
+    """The sum of x y over paired Gaussian integers (a, b) = a + b i."""
+    re = im = 0
+    for (xa, xb), (ya, yb) in zip(xs, ys):
+        re += xa * ya - xb * yb
+        im += xa * yb + xb * ya
+    return re, im
+
+
+def _row_sum(groups, k, scale):
+    """The Gaussian-integer numerator of the order-k coefficient of a row
+    given by ``_over_lcm``: each order-m value is raised by the integer
+    ``scale[m]`` from its denominator to a common one."""
+    re = im = 0
+    for e0, group in groups:
+        m = k - e0
+        if m < 0:
+            break
+        sr = si = 0
+        for p, a, b in group:
+            if m < len(p):
+                pa, pb = p[m]
+                sr += a * pa - b * pb
+                si += a * pb + b * pa
+        f = scale[m]
+        re += sr * f
+        im += si * f
+    return re, im
+
+
 def _solve(bb, order, chart=None):
     """Solve (k I - A) c_k = r_k for k = 1..order, the whole trichotomy at once.
 
@@ -179,42 +222,59 @@ def _solve(bb, order, chart=None):
     -sum_{q<k} (k - q + 1) delta_q c_{k-q}; the chart's graph is x y(x).
     Without a chart row delta is zero.
 
-    Every sum of the order loop is one fused ``_dot``, reduced by a single
-    gcd: the convolution sum_m y_j[m] y^parent[k - m] of each tracked power,
-    the coefficient of a row's terms, and the chart correction with its
-    integer weights -(k - q + 1).  The reduced values are unique, so this
-    changes no coefficient, witness or verdict.
+    Every order-m value of the loop (the units y_j, the tracked powers y^e
+    and the chart row, the latter times the lcm of its input denominators)
+    is a Gaussian-integer pair over one denominator L[m].  At order k the
+    products of orders m and k - m are brought over M_k, the lcm of
+    L[m] L[k - m], by the integer weights M_k / (L[m] L[k - m]), so every
+    convolution and the chart correction is a plain integer sum.  Each row's
+    input coefficients, px included, are integers over the row's own lcm q,
+    so r_k is one sum over q M_k, reduced by one gcd.  After the solve L[k]
+    is the lcm of M_k and the denominators of c_k, and the order-k values
+    are raised to it.  The reduced values are unique, so this changes no
+    coefficient, witness or verdict.
     """
     n = bb.n
     terms = [row.terms for row in bb.nonlinear]
     chart_terms = {} if chart is None else chart.terms
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    powers = {(0,) * n: [EC_ONE], **{u: [EC_ZERO] for u in units}}
+    zero = (0, 0)
+    powers = {(0,) * n: [(1, 0)], **{u: [zero] for u in units}}
+    ys = [powers[u] for u in units]
     recipes = []  # y^e = y_j * y^parent, parents listed before their products
     for e, j, parent in _power_recipes(
             {e[1:] for row in terms + [chart_terms] for e in row}, n):
-        powers[e] = [EC_ZERO]
-        recipes.append((powers[e], powers[units[j]], powers[parent], sum(parent)))
-    # each term of f as (x exponent, coefficients of its power of y, coeff)
-    rows = [[(e[0], powers[e[1:]], c) for e, c in row.items()] for row in terms]
-    chart_row = [(e[0], powers[e[1:]], c) for e, c in chart_terms.items()]
+        powers[e] = [zero]
+        recipes.append((powers[e], j, powers[parent], sum(parent)))
+    # px x is a row's one term of degree one, over the tracked power 1
+    x = (1,) + (0,) * n
+    rows = [_over_lcm({**row, x: p}, powers) for row, p in zip(terms, bb.px)]
+    chart_q, chart_row = _over_lcm(chart_terms, powers)
 
-    def coefficient(row, k, total=EC_ZERO):
-        return _dot(((c, p[k - e0]) for e0, p, c in row if 0 <= k - e0 < len(p)),
-                    total)
-
-    table, slots, witnesses, resonances, delta = [], [], {}, 0, [EC_ZERO]
+    table, slots, witnesses, resonances = [], [], {}, 0
+    # delta[m] is chart_q delta_m over L[m]
+    L, delta = [1], [zero]
     for k in range(1, order + 1):
-        for out, y, parent, low in recipes:
+        M = lcm(*(L[m] * L[k - m] for m in range(1, k // 2 + 1)))
+        weights = [M // (L[m] * L[k - m]) for m in range(1, k)]
+        weighted = [[(w * a, w * b) for w, (a, b) in zip(weights, y[1:])]
+                    for y in ys]
+        for out, j, parent, low in recipes:
             # sum over m of y_j[m] parent[k - m], for m = 1 .. k - low
-            out.append(_dot(zip(y[1:], reversed(parent[low:k]))))
+            out.append(_gauss_dot(weighted[j], reversed(parent[low:k])))
+        # minus the chart correction sum over q of (k - q + 1) delta_q y[k - q];
+        # without a chart row delta has no entries past order 0
+        correction = [(-(k - q + 1) * w * a, -(k - q + 1) * w * b)
+                      for q, (w, (a, b)) in enumerate(zip(weights, delta[1:]), 1)]
+        scale = [M // d for d in L] + [1]
         rhs = []
-        for i, row in enumerate(rows):
-            y = powers[units[i]]
-            # minus the chart correction sum over q of (k - q + 1) delta_q y[k - q]
-            rhs.append(_dot(zip(delta[1:k], reversed(y[1:k])),
-                            coefficient(row, k, bb.px[i] if k == 1 else EC_ZERO),
-                            range(-k, -1)))
+        for (q, groups), y in zip(rows, ys):
+            re, im = _row_sum(groups, k, scale)
+            d = q * M
+            if correction:
+                cr, ci = _gauss_dot(correction, reversed(y[1:k]))
+                re, im, d = re * chart_q + cr * q, im * chart_q + ci * q, d * chart_q
+            rhs.append(_ec(re, im, d))
         solved = solve_affine(bb.A.shift(k).rows, [-v for v in rhs])
         if solved is None or solved[1]:
             for i, value in enumerate(rhs):
@@ -226,10 +286,20 @@ def _solve(bb, order, chart=None):
                 return BBClassification(KIND_NO_SOLUTION, witnesses, None,
                                         blocking_order=k)
             slots.extend((k, col, f"c{k}[{col}]") for col in solved[1])
-        for u, c in zip(units, solved[0]):
-            powers[u].append(c)
-        table.append(solved[0])
-        delta.append(coefficient(chart_row, k))
+        c = solved[0]
+        Lk = lcm(M, *(v.d for v in c))
+        for y, v in zip(ys, c):
+            f = Lk // v.d
+            y.append((v.a * f, v.b * f))
+        if Lk != M:
+            f = Lk // M
+            for out, *_ in recipes:
+                re, im = out[k]
+                out[k] = (re * f, im * f)
+        L.append(Lk)
+        table.append(c)
+        if chart_row:
+            delta.append(_row_sum(chart_row, k, [Lk // d for d in L]))
     solution = FormalSolution(order, tuple(table), tuple(slots))
     return BBClassification(KIND_FAMILY if slots else KIND_UNIQUE, witnesses, solution)
 

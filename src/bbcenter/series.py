@@ -7,9 +7,10 @@ anywhere in this module.  Floating point enters only through
 :meth:`MultiSeries.eval_numeric`, the bridge to the numeric verification
 layer.
 
-Each ``ExactComplex`` ``+`` and ``*`` reduces its result.  A sum of
-products, which is what every order of the Briot-Bouquet recursion computes,
-goes through ``_dot`` instead, which reduces once for the whole sum.
+Each ``ExactComplex`` ``+`` and ``*`` reduces its result by a gcd.  The
+Briot-Bouquet recursion does not pay that per product: it keeps its values as
+integer pairs over one shared denominator per order and builds each result
+it returns with ``_ec``, which reduces once.
 
 Variable 0 of a :class:`MultiSeries` is the distinguished independent
 variable ("x"); the substitution primitives `shear_substitute` and
@@ -19,7 +20,6 @@ variable ("x"); the substitution primitives `shear_substitute` and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotDivisible
@@ -175,37 +175,6 @@ class ExactComplex:
 EC_ZERO = ExactComplex(0)
 EC_ONE = ExactComplex(1)
 EC_I = ExactComplex(0, 1)
-
-
-def _dot(pairs, total=EC_ZERO, weights=None):
-    """``total`` plus the sum of w * x * y over the ``pairs`` (x, y), exactly.
-
-    Each product is formed from the integer parts (a + b i) / d of its
-    factors, without reducing it, and added over a running common
-    denominator, which a gcd raises to the lcm only when a product's
-    denominator differs from it; one ``_ec`` reduces the sum.  The reduced
-    triple is unique, so the result equals the term-by-term sum of
-    ``ExactComplex`` products bit for bit.  ``weights`` gives one integer
-    per pair (all 1 without it); a count that differs raises ``ValueError``.
-    """
-    a, b, d = total.a, total.b, total.d
-    for (x, y), w in (zip(pairs, repeat(1)) if weights is None
-                      else zip(pairs, weights, strict=True)):
-        xa, xb, ya, yb = x.a, x.b, y.a, y.b
-        re = (xa * ya - xb * yb) * w
-        im = (xa * yb + xb * ya) * w
-        if re or im:
-            e = x.d * y.d
-            if e != d:
-                g = gcd(d, e)
-                if g != e:  # e does not divide d: raise d to lcm(d, e)
-                    f = e // g
-                    a, b, d = a * f, b * f, d * f
-                f = d // e
-                re, im = re * f, im * f
-            a += re
-            b += im
-    return _ec(a, b, d)
 
 
 class MultiSeries:

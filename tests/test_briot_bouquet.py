@@ -220,24 +220,43 @@ EIGEN_POOL = [ec(-1), ec(-2), ec(-3), ec(Fraction(1, 2)), ec(Fraction(-1, 2)),
 RESONANT_POOL = [ec(1), ec(2), ec(3), ec(4), ec(5)]
 
 
+# large coprime denominators next to small ones, so the recursion's shared
+# denominators meet factors that no other coefficient has
+DENOMINATOR_POOL = [1, 2, 3, 2**31 - 1, 10**9 + 7]
+
+
+def random_coefficient(rng):
+    """Mostly a small real rational; one time in four a complex one with
+    20-digit numerators over the denominator pool."""
+    if rng.random() < 0.75:
+        return ec(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+    parts = [Fraction(rng.randint(-10**20, 10**20), rng.choice(DENOMINATOR_POOL))
+             for _ in range(2)]
+    return ec(*parts)
+
+
 def random_system(rng, n, order, allow_resonant):
     pool = EIGEN_POOL + (RESONANT_POOL if allow_resonant else [])
     diag = [rng.choice(pool) for _ in range(n)]
     A = [[diag[i] if i == j else ec(0) for j in range(n)] for i in range(n)]
-    if n == 2 and rng.random() < 0.3:
-        if rng.random() < 0.5 and diag[0] == diag[1]:
-            A[0][1] = rng.choice([ec(1), ec(2)])  # Jordan coupling
+    if n >= 2 and rng.random() < 0.3:
+        i, j = sorted(rng.sample(range(n), 2))
+        if rng.random() < 0.5:
+            A[j][j] = A[i][i]
+            A[i][j] = rng.choice([ec(1), ec(2)])  # Jordan coupling
         elif not allow_resonant:
-            A[0][1] = rng.choice([ec(1), ec(-1)])
-    px = [ec(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(n)]
+            A[i][j] = rng.choice([ec(1), ec(-1)])
+    px = [random_coefficient(rng) for _ in range(n)]
     rows = []
     for _ in range(n):
         terms = {}
         for _ in range(rng.randint(0, 4)):
             exps = tuple(rng.randint(0, 2) for _ in range(n + 1))
+            if rng.random() < 0.3:
+                exps = (0,) + exps[1:]  # no power of x
             if not 2 <= sum(exps) <= 3:
                 continue
-            terms[exps] = ec(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+            terms[exps] = random_coefficient(rng)
         rows.append(MultiSeries(n + 1, order, terms))
     return BBSystem(SmallMatrix(A), px, rows)
 
@@ -247,7 +266,7 @@ def test_oracle_equivalence_random():
     order = 9
     checked = 0
     for _ in range(250):
-        n = rng.choice([1, 2])
+        n = rng.choice([1, 2, 3])
         sys = random_system(rng, n, order, allow_resonant=True)
         out = classify(sys, order)
         A_rows, px, terms = to_oracle(sys)
