@@ -54,20 +54,11 @@ class BBSystem:
     def __init__(self, A, px, nonlinear):
         if not isinstance(A, SmallMatrix):
             A = SmallMatrix(A)
-        n = A.dim
-        px = tuple(ExactComplex.coerce(v) for v in px)
-        nonlinear = tuple(nonlinear)
-        if len(px) != n or len(nonlinear) != n:
-            raise DimensionMismatch("px and nonlinear must have one entry per variable")
-        for s in nonlinear:
-            if s.nvars != n + 1:
-                raise DimensionMismatch(
-                    f"nonlinear series must have {n + 1} variables, got {s.nvars}")
-            if s.terms and s.min_degree() < 2:
-                raise ValueError("nonlinear part contains terms of degree < 2")
         self.A = A
-        self.px = px
-        self.nonlinear = nonlinear
+        self.px = tuple(ExactComplex.coerce(v) for v in px)
+        if len(self.px) != A.dim:
+            raise DimensionMismatch("px must have one entry per variable")
+        self.nonlinear = _nonlinear_part(nonlinear, A.dim, A.dim + 1)
 
     @property
     def n(self):
@@ -79,6 +70,21 @@ class BBSystem:
 
     def __repr__(self):
         return f"<BBSystem n={self.n} order={self.order}>"
+
+
+def _nonlinear_part(rows, count, nvars):
+    """``rows`` as a tuple, checked to hold ``count`` series in ``nvars``
+    variables with no term of degree below 2."""
+    rows = tuple(rows)
+    if len(rows) != count:
+        raise DimensionMismatch(f"need {count} nonlinear series, got {len(rows)}")
+    for s in rows:
+        if s.nvars != nvars:
+            raise DimensionMismatch(
+                f"nonlinear series must have {nvars} variables, got {s.nvars}")
+        if s.terms and s.min_degree() < 2:
+            raise ValueError("nonlinear part contains terms of degree < 2")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,7 @@ def _solve(bb, order, chart=None):
     are raised to it.  The reduced values are unique, so this changes no
     coefficient, witness or verdict.
     """
-    n = bb.n
+    n, A = bb.n, bb.A.rows
     terms = [row.terms for row in bb.nonlinear]
     chart_terms = {} if chart is None else chart.terms
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -275,7 +281,8 @@ def _solve(bb, order, chart=None):
                 cr, ci = _gauss_dot(correction, reversed(y[1:k]))
                 re, im, d = re * chart_q + cr * q, im * chart_q + ci * q, d * chart_q
             rhs.append(_ec(re, im, d))
-        solved = solve_affine(bb.A.shift(k).rows, [-v for v in rhs])
+        solved = solve_affine([[v - k if i == j else v for j, v in enumerate(row)]
+                               for i, row in enumerate(A)], [-v for v in rhs])
         if solved is None or solved[1]:
             for i, value in enumerate(rhs):
                 name = (_OBSTRUCTION_NAMES[resonances][i] if resonances < 2 and i < 2

@@ -54,19 +54,9 @@ class HoloSystem:
     def __init__(self, linear, nonlinear):
         if not isinstance(linear, SmallMatrix):
             linear = SmallMatrix(linear)
-        dim = linear.dim
-        nonlinear = tuple(nonlinear)
-        if len(nonlinear) != dim:
-            raise DimensionMismatch("one nonlinear series per coordinate required")
-        for s in nonlinear:
-            if s.nvars != dim:
-                raise DimensionMismatch(
-                    f"nonlinear series must have {dim} variables, got {s.nvars}")
-            if s.terms and s.min_degree() < 2:
-                raise ValueError("nonlinear part contains terms of degree < 2")
-        self.dim = dim
+        self.dim = linear.dim
         self.linear = linear
-        self.nonlinear = nonlinear
+        self.nonlinear = bb_engine._nonlinear_part(nonlinear, linear.dim, linear.dim)
 
     def __repr__(self):
         return f"<HoloSystem dim={self.dim}>"

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .briot_bouquet import BBSystem
 from .centers import AXIS_NAMES, HoloSystem
 from .errors import BBCenterError, ParseError
-from .series import EC_ZERO, ExactComplex, MultiSeries
+from .series import EC_ZERO, MultiSeries, _ec
 from .spectra import SmallMatrix, classify_spectrum, normal_form_check
 
 
@@ -38,7 +37,8 @@ def _pair_to_ec(value, location):
                              location)
     if rd == 0 or im_d == 0:
         raise ParseError("zero denominator", location)
-    return ExactComplex(Fraction(rn, rd), Fraction(im_n, im_d))
+    d = math.lcm(rd, im_d)  # never negative, so d // rd carries the sign of rd
+    return _ec(rn * (d // rd), im_n * (d // im_d), d)
 
 
 def _text(value, render=str):
@@ -183,10 +183,6 @@ def period_string(factor):
     return f"{n}·2π/{d}"
 
 
-def _series_coefficients(graph, order):
-    return [_text(graph.coeff((k,))) for k in range(1, order + 1)]
-
-
 def _spectrum_block(h):
     info = classify_spectrum(h.linear)
     return {
@@ -241,7 +237,7 @@ def report_document(h, reports, variables=None, verification=None):
             entry["blocking_order"] = r.blocking_order
         if r.graphs is not None:
             entry["series"] = {
-                names[k]: _series_coefficients(g, r.order)
+                names[k]: [_text(g.coeff((j,))) for j in range(1, r.order + 1)]
                 for k, g in sorted(r.graphs.items())}
         v = (verification or {}).get(r.chart)
         if v is not None:

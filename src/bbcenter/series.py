@@ -4,8 +4,8 @@ Everything downstream branches on exact vanishing of coefficients (is this
 obstruction zero or not?), so a scalar is a Gaussian rational (a + b i) / d
 held as three arbitrary-precision integers, and no tolerance appears
 anywhere in this module.  Floating point enters only through
-:meth:`MultiSeries.eval_numeric`, the bridge to the numeric verification
-layer.
+:meth:`ExactComplex.to_complex`, on each coefficient ``verify`` compiles or
+samples, and :meth:`MultiSeries.eval_numeric`, which no command calls.
 
 Each ``ExactComplex`` ``+`` and ``*`` reduces its result by a gcd.  The
 Briot-Bouquet recursion does not pay that per product: it keeps its values as
@@ -49,6 +49,12 @@ def _ec(a, b, d):
     return z
 
 
+def _ratio_str(n, d):
+    """n / d in lowest terms, printed as ``str`` prints a ``Fraction``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class ExactComplex:
     """A complex scalar with rational real and imaginary parts.
 
@@ -56,7 +62,8 @@ class ExactComplex:
     gcd(a, b, d) = 1, so equal values have equal fields.  Arithmetic is
     exact, equality is decidable, and floats are rejected at construction
     time so no rounding can sneak into a classification branch.  ``re`` and
-    ``im`` give the parts as ``Fraction``s.
+    ``im`` are views, built on demand, that give the parts as ``Fraction``s;
+    the exact layer reads and writes (a, b, d) alone.
 
     >>> i = ExactComplex(0, 1)
     >>> print(i * i)
@@ -141,7 +148,8 @@ class ExactComplex:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        return hash(self.re) if self.b == 0 else hash((self.re, self.im))
 
     def is_zero(self):
         return self.a == 0 and self.b == 0
@@ -160,13 +168,13 @@ class ExactComplex:
         return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        text = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
-        if re == 0:
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return _ratio_str(a, d)
+        text = "i" if b == d else "-i" if b == -d else f"{_ratio_str(b, d)}i"
+        if a == 0:
             return text
-        return f"{re}{'+' if im > 0 else ''}{text}"
+        return f"{_ratio_str(a, d)}{'+' if b > 0 else ''}{text}"
 
     def __repr__(self):
         return f"ExactComplex({self.re!r}, {self.im!r})"

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, UncertifiableSpectrum
-from .series import EC_ONE, EC_ZERO, ExactComplex
+from .series import EC_ONE, EC_ZERO, ExactComplex, _ec
 
 NUMERIC_TOL = 1e-9  # |re| at most this is zero in the uncertified fallback
 
@@ -72,20 +72,18 @@ class SmallMatrix:
                 - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
                 + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
 
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(self.dim)), EC_ZERO)
-
     def charpoly(self):
         """Monic characteristic polynomial, coefficients indexed by power."""
         r = self.rows
         if self.dim == 1:
             return [-r[0][0], EC_ONE]
+        trace = sum((r[i][i] for i in range(self.dim)), EC_ZERO)
         if self.dim == 2:
-            return [self.det(), -self.trace(), EC_ONE]
+            return [self.det(), -trace, EC_ONE]
         s2 = ((r[0][0] * r[1][1] - r[0][1] * r[1][0])
               + (r[0][0] * r[2][2] - r[0][2] * r[2][0])
               + (r[1][1] * r[2][2] - r[1][2] * r[2][1]))
-        return [-self.det(), s2, -self.trace(), EC_ONE]
+        return [-self.det(), s2, -trace, EC_ONE]
 
     def is_upper_triangular(self):
         return all(self.rows[i][j].is_zero()
@@ -236,7 +234,7 @@ def _simple_roots(p):
         a = a - m if 2 * a > m else a
         b = b - m if 2 * b > m else b
         if _horner(q, a, b) == (0, 0):
-            roots.append(ExactComplex(a, b) / ExactComplex(*p[-1]))
+            roots.append(_ec(a, b, 1) / _ec(*p[-1], 1))
     return roots
 
 

@@ -234,8 +234,8 @@ def _without_rotation(h):
     """The system z' = F(z) - S z for S = i Im(diag A), built exactly: its
     linear part is A with the imaginary part of the diagonal taken out."""
     from .centers import HoloSystem
-    from .series import ExactComplex
-    rows = [[ExactComplex(v.re) if i == j else v for j, v in enumerate(row)]
+    from .series import _ec
+    rows = [[_ec(v.a, 0, v.d) if i == j else v for j, v in enumerate(row)]
             for i, row in enumerate(h.linear.rows)]
     return HoloSystem(rows, h.nonlinear)
 

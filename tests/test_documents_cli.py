@@ -10,6 +10,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bbcenter
 from bbcenter import briot_bouquet, cli, documents, verify
@@ -81,6 +83,22 @@ def test_parse_rejects_zero_denominator():
     doc["equations"][0][0]["coefficient"] = [[1, 0], [0, 1]]
     with pytest.raises(ParseError):
         documents.parse_system(doc)
+
+
+# numerators with zero parts, denominators of either sign, small ones that
+# share factors or are coprime, and 20-digit ones
+_numerators = st.one_of(st.just(0), st.integers(-10**20, 10**20))
+_denominators = st.one_of(st.integers(-12, 12), st.integers(-10**20, 10**20)).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_numerators, _denominators), st.tuples(_numerators, _denominators))
+def test_parse_reads_a_coefficient_pair_as_its_fractions(re_part, im_part):
+    text = json.dumps({"variables": ["x", "u"],
+                       "equations": [[mono((*re_part, *im_part), (1, 0))]]})
+    (value,) = documents.parse_bb_document(text).px
+    expected = ExactComplex(Fraction(*re_part), Fraction(*im_part))
+    assert value == expected and str(value) == str(expected)
 
 
 def test_period_strings():

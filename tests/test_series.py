@@ -137,7 +137,8 @@ def test_exact_complex_matches_fraction_pairs(xr, xi, yr, yi, k):
     assert (u == xr) == (xi == 0)
     assert str(u) == ref_str(xr, xi)
     assert repr(u) == f"ExactComplex({xr!r}, {xi!r})"
-    assert hash(u) == hash(x)
+    # a real value hashes as the Fraction it equals
+    assert hash(u) == (hash(xr) if xi == 0 else hash(x))
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,7 +153,8 @@ def test_exact_complex_normalises(xr, xi, yr, yi):
     if not w.is_zero():
         built += [(u * w) / w, (u / w) * w, (u + w) - w]
     for z in built:
-        assert z == u and hash(z) == hash(u) == hash((xr, xi))
+        assert z == u and hash(z) == hash(u) == (
+            hash(xr) if xi == 0 else hash((xr, xi)))
         assert str(z) == str(u) and repr(z) == repr(u)
 
 
@@ -167,6 +169,13 @@ def test_exact_complex_normalisation_examples():
     assert hash(ExactComplex(4, -2)) == hash((4, -2))
     assert 1 / ExactComplex(0, 2) == ExactComplex(0, Fraction(-1, 2))
     assert 2 - ExactComplex(1, 1) == ExactComplex(1, -1)
+
+
+def test_exact_complex_hashes_as_the_number_it_equals():
+    assert hash(ExactComplex(3)) == hash(3)
+    assert hash(ExactComplex(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({3, ExactComplex(3)}) == 1
+    assert len({Fraction(-7, 3), ExactComplex(Fraction(-14, 6))}) == 1
 
 
 def test_exact_complex_to_complex_overflows_beyond_double_range():
