@@ -8,11 +8,11 @@ family) is exactly the census of holomorphic center manifolds tangent to that
 axis, and each manifold carries an isochronous family of period 2*pi/|omega|
 where i*omega is the chart eigenvalue.
 
-With lam the chart eigenvalue, the reduced system's linear data are closed
-forms of the field's linear part L: A = L_dd / lam - I, and the constants
-L[d][chart] / lam, which kill the chart next to a Jordan coupling.
-``enumerate_centers`` solves each chart straight from the field's sparse
-terms with the one Briot-Bouquet recursion, which also takes the chart row.
+With lam the chart eigenvalue, one rule divides every term of every row by
+lam t, c z^e to (c / lam) t^(|e| - 1) u^(e without the chart); the low-order
+keys give the linear data, and a constant L[d][chart] / lam kills the chart
+next to a Jordan coupling.  ``enumerate_centers`` solves each chart from the
+divided terms with the one Briot-Bouquet recursion, which takes the chart row.
 ``chart_reduce`` builds the displayed Briot-Bouquet system by exact series
 division, without case analysis; it is the reference the tests check against.
 """
@@ -26,7 +26,7 @@ from math import inf, log10, pi
 from . import briot_bouquet as bb_engine
 from .errors import (BBCenterError, DimensionMismatch, InvalidChart,
                      NotNormalized, OrderTooSmall)
-from .series import MultiSeries
+from .series import EC_ZERO, MultiSeries
 from .spectra import (NF_DIAGONAL, NF_JORDAN_2, NF_JORDAN_3, NF_NOT_NORMALIZED,
                       SmallMatrix, classify_spectrum, normal_form_check,
                       positive_integer_eigenvalues)
@@ -57,6 +57,13 @@ class HoloSystem:
         self.dim = linear.dim
         self.linear = linear
         self.nonlinear = bb_engine._nonlinear_part(nonlinear, linear.dim, linear.dim)
+
+    def terms(self, k):
+        """Row k as {exponent: coefficient}: the nonzero linear entries as
+        unit monomials, in column order, then the nonlinear terms."""
+        units = {tuple(int(i == j) for i in range(self.dim)): c
+                 for j, c in enumerate(self.linear.rows[k]) if not c.is_zero()}
+        return {**units, **self.nonlinear[k].terms}
 
     def __repr__(self):
         return f"<HoloSystem dim={self.dim}>"
@@ -123,28 +130,36 @@ class CenterManifoldReport:
         return period
 
 
-def _chart_linear(h, chart):
-    """The linear data of one chart, in closed form from the field's linear part.
-
-    Returns (lam, dependents, A, constants, slope_free): the chart eigenvalue,
-    the dependent coordinates, A = L_dd / lam - I, the constants L[d][chart] /
-    lam (a nonzero one excludes the chart) and the dependents whose column of
-    A is zero and whose coupling L[chart][d] into the chart row vanishes.
-    """
+def _divided_chart(h, chart):
+    """One chart's data under z_chart = t, z_d = t u_d, by one rule: each
+    term c z^e of each row, divided by lam t, becomes (c / lam) t^(|e| - 1)
+    u^(e without the chart).  The dependent rows' t^0 keys are the constants
+    (a nonzero one excludes the chart), their t^0 u_j keys A + I and their
+    t^1 key px.  The chart row loses its constant 1 and keeps its couplings
+    L[chart][d] / lam as t^0 u_d keys; a dependent with neither a coupling
+    nor a nonzero column of A is slope free.  Returns (dependents, A, px,
+    constants, slope_free, rows, chart_row), ``rows`` holding the rest of
+    the dependent rows, terms of degree >= 2."""
     if not 0 <= chart < h.dim:
         raise IndexError(f"chart index {chart} out of range")
     lam = h.linear.entry(chart, chart)
     if lam.is_zero():
         raise InvalidChart("the chart eigenvalue is zero; the chart division is illegal")
     deps = tuple(k for k in range(h.dim) if k != chart)
-    A = SmallMatrix([[h.linear.entry(d, j) / lam - int(d == j) for j in deps]
-                     for d in deps])
-    constants = tuple(h.linear.entry(d, chart) / lam for d in deps)
+    rows = [{(sum(e) - 1,) + tuple(e[d] for d in deps): c / lam
+             for e, c in h.terms(k).items()} for k in range(h.dim)]
+    one = (0,) * h.dim
+    chart_row = rows.pop(chart)
+    del chart_row[one]
+    units = [one[:pos + 1] + (1,) + one[pos + 2:] for pos in range(len(deps))]
+    constants = tuple(row.pop(one, EC_ZERO) for row in rows)
+    A = SmallMatrix([[row.pop(u, EC_ZERO) - int(i == j) for j, u in enumerate(units)]
+                     for i, row in enumerate(rows)])
+    px = [row.pop((1,) + one[1:], EC_ZERO) for row in rows]
     slope_free = tuple(
-        d for pos, d in enumerate(deps)
-        if h.linear.entry(chart, d).is_zero()
-        and all(A.entry(i, pos).is_zero() for i in range(len(deps))))
-    return lam, deps, A, constants, slope_free
+        d for pos, (d, u) in enumerate(zip(deps, units))
+        if u not in chart_row and all(row[pos].is_zero() for row in A.rows))
+    return deps, A, px, constants, slope_free, rows, chart_row
 
 
 def _field_along(h, subs, order):
@@ -165,11 +180,11 @@ def chart_reduce(h, chart, order=12):
     With t the chart variable and z_k = t u_k(t), each dependent coordinate
     satisfies (dz_chart/dt) u_k-equation; dividing by t and by the unit-series
     factor of the denominator leaves a Briot-Bouquet system whose linear data
-    realize the eigenvalue ratios of the original field.  The linear data come
-    in closed form from ``_chart_linear``; the series division supplies the
-    linear-in-t column and the nonlinear part.
+    realize the eigenvalue ratios of the original field.  The linear data
+    come from ``_divided_chart``, which divides each term by lam t; the series
+    division supplies the linear-in-t column and the nonlinear part.
     """
-    lam, deps, A, constants, slope_free = _chart_linear(h, chart)
+    deps, A, _, constants, slope_free, *_ = _divided_chart(h, chart)
     if any(not c.is_zero() for c in constants):
         return ChartReduction(deps, None, True, constants, ())
     nvars = h.dim  # t plus one u per dependent coordinate
@@ -185,33 +200,6 @@ def chart_reduce(h, chart, order=12):
             e: c for e, c in row.terms.items() if sum(e) >= 2}))
     system = bb_engine.BBSystem(A, px, nonlinear)
     return ChartReduction(deps, system, False, constants, slope_free)
-
-
-def _chart_system(h, chart, lam, deps, A, last):
-    """The chart's equation straight from the field's sparse terms.
-
-    Under z_chart = t, z_d = t u_d and division by lam t, a field monomial
-    z^e becomes t^(|e| - 1) u^(e without the chart).  The dependent rows give
-    a ``BBSystem``; the chart row, less its constant 1, is the chart that
-    ``briot_bouquet.classify`` takes, both declared through ``last``, the
-    Briot-Bouquet order solved: terms of higher degree cannot reach it.
-    """
-    def divided(terms):
-        out = {}
-        for e, c in terms:
-            exps = (sum(e) - 1,) + tuple(e[d] for d in deps)
-            if sum(exps) <= last:
-                out[exps] = c / lam
-        return out
-
-    rows = [divided(h.nonlinear[d].terms.items()) for d in deps]
-    px = [row.pop((1,) + (0,) * len(deps), 0) for row in rows]
-    system = bb_engine.BBSystem(
-        A, px, [MultiSeries(h.dim, last, row) for row in rows])
-    couplings = [(tuple(int(i == d) for i in range(h.dim)), h.linear.entry(chart, d))
-                 for d in deps]
-    row = divided(list(h.nonlinear[chart].terms.items()) + couplings)
-    return system, MultiSeries(h.dim, last, row)
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +275,20 @@ def enumerate_centers(h, order=12, verdict_only=False):
 
     charts, work = [], 0
     for m in imag_idx:
-        lam, deps, A, constants, slope_free = _chart_linear(h, m)
+        deps, A, px, constants, slope_free, rows, chart_row = _divided_chart(h, m)
         problem = None
         if all(c.is_zero() for c in constants):
-            # the last Briot-Bouquet order the chart's recursion solves
+            # the last Briot-Bouquet order the chart's recursion solves; the
+            # rows are declared through it, as higher terms cannot reach it
             last = order - 1
             if verdict_only:
                 last = min(last, max(positive_integer_eigenvalues(A), default=0))
-            system, chart = problem = _chart_system(h, m, lam, deps, A, last)
+            *rows, chart = [
+                MultiSeries(h.dim, last, {e: c for e, c in row.items() if sum(e) <= last})
+                for row in rows + [chart_row]]
+            system = bb_engine.BBSystem(A, px, rows)
             work += bb_engine.exact_work(system, last, chart)
+            problem = system, chart
         charts.append((m, deps, constants, slope_free, problem))
     # the work of all the charts is refused before any chart is solved
     bb_engine.check_exact_work(work)

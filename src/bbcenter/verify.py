@@ -90,24 +90,21 @@ class VerifyResult:
 def compile_field(h):
     """The right-hand side as a vectorized callable on (..., dim) arrays.
 
-    Every term, the linear ones included, is a monomial z^e; the equations
-    that share an exponent share its monomial, so the coefficients form one
-    (monomials, dim) matrix C.  A monomial of degree d is d indices into z
-    padded with a column of ones (index ``dim``), padded with that index to
-    the top degree D, so one evaluation is D gathers, D - 1 products and one
-    matrix product.
+    Every term of ``HoloSystem.terms``, the linear ones included, is a
+    monomial z^e; the equations that share an exponent share its monomial,
+    so the coefficients form one (monomials, dim) matrix C, the linear
+    monomials first.  A monomial of degree d is d indices into z padded with
+    a column of ones (index ``dim``), padded with that index to the top
+    degree D, so one evaluation is D gathers, D - 1 products and one matrix
+    product.
     """
     import numpy as np
     dim = h.dim
     terms = {}  # exponent -> its coefficient in each equation
-    for i, row in enumerate(h.linear.to_complex_array()):
-        for j, c in enumerate(row):
-            if c:
-                unit = tuple(int(k == j) for k in range(dim))
-                terms.setdefault(unit, [0j] * dim)[i] += c
-    for i, s in enumerate(h.nonlinear):
-        for e, c in s.terms.items():
+    for i in range(dim):
+        for e, c in h.terms(i).items():
             terms.setdefault(e, [0j] * dim)[i] += c.to_complex()
+    terms = dict(sorted(terms.items(), key=lambda term: sum(term[0]) > 1))
     factors = np.full((max(map(sum, terms), default=1), len(terms)), dim)
     for m, e in enumerate(terms):
         index = [j for j, k in enumerate(e) for _ in range(k)]

@@ -13,6 +13,7 @@ from bbcenter.centers import (AXIS_NAMES, MULT_INFINITE, MULT_NONE,
                               MULT_UNIQUE, POINCARE_TAG, CenterManifoldReport,
                               HoloSystem, _pattern_label, chart_reduce,
                               enumerate_centers, manifold_residual)
+from bbcenter.documents import parse_system
 from bbcenter.errors import (BBCenterError, InvalidChart, NotNormalized,
                              OrderTooSmall)
 from bbcenter.series import ExactComplex, MultiSeries
@@ -88,6 +89,47 @@ def test_chart_reduce_zero_eigenvalue_invalid():
         chart_reduce(h, 0)
 
 
+def test_chart_reduce_refuses_a_chart_outside_the_axes():
+    # chart -1 would otherwise read the last axis through negative indexing
+    h = holo([I, ec(0, 2), ec(1)])
+    for chart in (-1, h.dim):
+        with pytest.raises(IndexError):
+            chart_reduce(h, chart)
+
+
+def test_terms_of_a_parsed_document():
+    # a repeated quadratic, a repeated linear entry, an explicit zero linear
+    # entry and cubics; the expected rows are summed here with Fraction
+    rows = [
+        [((0, 1), (1, 0, 0)), ((Fraction(3, 4), 0), (0, 2, 0)),
+         ((Fraction(-1, 3), 2), (0, 2, 0)), ((5, 0), (1, 1, 1))],
+        [((0, 2), (0, 1, 0)), ((0, 0), (0, 0, 1)), ((1, 1), (1, 0, 0))],
+        [((Fraction(1, 2), 0), (0, 0, 1)), ((Fraction(1, 2), 0), (0, 0, 1)),
+         ((0, Fraction(-7, 5)), (3, 0, 0)), ((1, 0), (0, 1, 1))],
+    ]
+
+    def number(*parts):
+        return [[Fraction(v).numerator, Fraction(v).denominator] for v in parts]
+
+    h = parse_system({"variables": ["x", "y", "z"], "equations": [
+        [{"coefficient": number(*c), "exponents": list(e)} for c, e in row]
+        for row in rows]})
+    for k, row in enumerate(rows):
+        want = {}
+        for (re, im), e in row:
+            old = want.get(e, (0, 0))
+            want[e] = (old[0] + Fraction(re), old[1] + Fraction(im))
+        terms = h.terms(k)
+        assert {e: (c.re, c.im) for e, c in terms.items()} == {
+            e: v for e, v in want.items() if v != (0, 0)}
+        # the linear entries first, as unit monomials in column order
+        units = [e for e in terms if sum(e) == 1]
+        assert list(terms)[:len(units)] == units
+        assert [e.index(1) for e in units] == sorted(e.index(1) for e in units)
+    assert list(h.terms(1)) == [(1, 0, 0), (0, 1, 0)]
+    assert h.terms(2)[(0, 0, 1)] == ec(1)
+
+
 def test_chart_reduce_quadratic_px():
     # y' row with x^2 coefficient lands in the linear-in-x column, scaled by -i
     h = holo([I, ec(0, 2), ec(1)], y={(2, 0, 0): 1})
@@ -139,7 +181,7 @@ def random_normalized(rng, dim, order):
 
 def divided_linear_data(h, m):
     """The constants and A of chart m, read off F_d(t, t u) / F_m(t, t u) - u_d
-    by series division (the closed forms in ``centers`` are not used)."""
+    by series division (the chart rule in ``centers`` is not used)."""
     deps = [k for k in range(h.dim) if k != m]
     u = [MultiSeries.variable(h.dim, 3, j) for j in range(h.dim)]
     subs = [u[0] if k == m else u[0] * u[1 + deps.index(k)] for k in range(h.dim)]
