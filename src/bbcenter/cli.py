@@ -9,8 +9,10 @@ reads monomials of any degree; the others solve to ``--order`` and refuse
 a monomial above it.
 
 Exit codes: 0 classified, 2 parse error (an integer with more digits than
-the interpreter reads from text included), 3 uncertifiable spectrum,
-unnormalized input, an ``--order`` below the one the system needs, exact
+the interpreter reads from text, a document nested too deeply for the JSON
+reader and repeated variable names included), 3 uncertifiable spectrum,
+unnormalized input, an ``--order`` below the one the system needs (past
+``MAX_ORDER`` the message says that no ``--order`` reaches it), exact
 work (tracked powers x order^2 + terms x order, summed over the charts and
 counted over the orders actually solved, see ``briot_bouquet.exact_work``)
 past ``briot_bouquet.MAX_EXACT_WORK``, a result integer with more digits
@@ -38,7 +40,7 @@ from . import documents
 from .briot_bouquet import MAX_EXACT_WORK
 from .briot_bouquet import classify as bb_classify
 from .centers import enumerate_centers
-from .errors import (BBCenterError, NotNormalized, ParseError,
+from .errors import (BBCenterError, NotNormalized, OrderTooSmall, ParseError,
                      UncertifiableSpectrum)
 from .spectra import numeric_spectrum
 from .verify import (MAX_RK4_STEPS, ORDER_RATIO, STEPS_PER_PERIOD,
@@ -118,26 +120,21 @@ def _build_parser():
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(f"cannot read: {err}") from None
 
 
 def _fallback_document(h):
-    summary = numeric_spectrum(h.linear)
     return {
         "certified": False,
         "note": "spectrum not certifiable over the Gaussian rationals; "
                 "double-precision summary only",
-        "spectrum": {
-            "eigenvalues": [
-                {"value": f"{e['value']:.15g}",
-                 "purely_imaginary": e["purely_imaginary"]}
-                for e in summary["eigenvalues"]],
-            "certified": False,
-            "tolerance": summary["tolerance"],
-        },
+        "spectrum": numeric_spectrum(h.linear),
         "manifolds": [],
     }
 
@@ -172,27 +169,21 @@ def _process_bb(text, args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    process = _process_bb if args.command == "bb" else _process_system
     worst = EXIT_OK
     try:
         for path in args.files:
             try:
-                text = _read(path)
-            except (OSError, UnicodeDecodeError) as err:
-                print(f"error: {path}: cannot read: {err}", file=sys.stderr)
-                worst = max(worst, EXIT_PARSE)
-                continue
-            try:
-                if args.command == "bb":
-                    document, code = _process_bb(text, args)
-                else:
-                    document, code = _process_system(text, args)
-            except ParseError as err:
-                print(f"error: {path}: {err}", file=sys.stderr)
-                worst = max(worst, EXIT_PARSE)
-                continue
+                document, code = process(_read(path), args)
             except BBCenterError as err:
+                worst = max(worst, EXIT_PARSE if isinstance(err, ParseError)
+                            else EXIT_UNCERTIFIABLE)
+                if isinstance(err, OrderTooSmall) and err.required > MAX_ORDER:
+                    # the parser refuses the --order the error would name
+                    err = (f"order {err.order} cannot expose the resonance at "
+                           f"order {err.resonance}, and no --order up to "
+                           f"{MAX_ORDER} reaches it")
                 print(f"error: {path}: {err}", file=sys.stderr)
-                worst = max(worst, EXIT_UNCERTIFIABLE)
                 continue
             worst = max(worst, code)
             print(documents.emit_report(document, args.format))

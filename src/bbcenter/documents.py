@@ -58,6 +58,9 @@ def _load(document):
             document = json.loads(document)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ParseError(f"invalid JSON: {err}", "document") from None
+        except RecursionError:
+            raise ParseError("nested too deeply for the JSON reader",
+                             "document") from None
         except ValueError:
             # json raises a plain ValueError for an integer literal with more
             # digits than the interpreter converts from text
@@ -70,19 +73,34 @@ def _load(document):
     return document
 
 
+def _variables(doc, low, high):
+    """The document's variable names: distinct strings, from ``low`` to
+    ``high`` of them."""
+    variables = doc.get("variables")
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise ParseError("variables must be a list of names", "variables")
+    if len(set(variables)) < len(variables):
+        raise ParseError("variable names must be distinct", "variables")
+    if not low <= len(variables) <= high:
+        raise ParseError(f"need {low} to {high} variables, got {len(variables)}",
+                         "variables")
+    return variables
+
+
 def _split_terms(doc, n, nvars, order, per, at_least=False):
     """The n equations split by degree: rows of degree-one coefficients (row
     i, column j for equation i and variable j) and one series per equation
-    of every other term.  Repeated monomials add up.  A monomial above
-    ``order`` is refused, unless ``at_least`` raises the series' order to
-    the top degree."""
+    of every other term.  Every monomial adds into its equation's one
+    {exponent: coefficient} row, so repeated monomials add up; the unit
+    exponents are split off at the end.  A monomial above ``order`` is
+    refused, unless ``at_least`` raises the series' order to the top
+    degree."""
     equations = doc.get("equations")
     if not isinstance(equations, list) or len(equations) != n:
         raise ParseError(f"need one equation per {per}", "equations")
-    linear = [[EC_ZERO] * nvars for _ in equations]
-    nonlinear = [{} for _ in equations]
+    rows = [{} for _ in equations]
     top = order
-    for i, monomials in enumerate(equations):
+    for i, (row, monomials) in enumerate(zip(rows, equations)):
         loc = f"equations[{i}]"
         if not isinstance(monomials, list):
             raise ParseError("each equation is a list of monomials", loc)
@@ -105,14 +123,11 @@ def _split_terms(doc, n, nvars, order, per, at_least=False):
                     f"{order}; raise --order", where)
             top = max(top, degree)
             coeff = _pair_to_ec(mono.get("coefficient"), f"{where}.coefficient")
-            if degree == 1:
-                j = exps.index(1)
-                linear[i][j] = linear[i][j] + coeff
-            else:
-                exps = tuple(exps)
-                prev = nonlinear[i].get(exps)
-                nonlinear[i][exps] = coeff if prev is None else prev + coeff
-    return linear, tuple(MultiSeries(nvars, top, terms) for terms in nonlinear)
+            exps = tuple(exps)
+            row[exps] = row[exps] + coeff if exps in row else coeff
+    units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+    linear = [[row.pop(unit, EC_ZERO) for unit in units] for row in rows]
+    return linear, tuple(MultiSeries(nvars, top, row) for row in rows)
 
 
 def parse_system(document, order=12, at_least=False):
@@ -121,17 +136,12 @@ def parse_system(document, order=12, at_least=False):
     Degree-one monomials populate the linear part, everything else the
     nonlinear series; constant terms are rejected at parse time.  A monomial
     above ``order`` is refused, unless ``at_least`` raises the series' order
-    to the document's top degree.  Only ``variables`` and ``equations`` are
-    read; a ``time_scale`` key is refused, since periods are those of the
-    field as written.
+    to the document's top degree.  Only ``variables`` (2 or 3 distinct
+    names) and ``equations`` are read; a ``time_scale`` key is refused,
+    since periods are those of the field as written.
     """
     doc = _load(document)
-    variables = doc.get("variables")
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise ParseError("missing variables list", "variables")
-    dim = len(variables)
-    if dim not in (2, 3):
-        raise ParseError(f"dimension must be 2 or 3, got {dim}", "variables")
+    dim = len(_variables(doc, 2, 3))
     linear, series = _split_terms(doc, dim, dim, order, "variable", at_least)
     if "time_scale" in doc:
         # refused, not ignored: a time-scaled field is never read unscaled
@@ -143,17 +153,12 @@ def parse_system(document, order=12, at_least=False):
 def parse_bb_document(document, order=12):
     """Parse a document as a Briot-Bouquet system x y' = f(x, y).
 
-    The first variable is the independent one; there is one equation per
-    dependent variable, polynomial in all variables.
+    The first of the 2 to 4 distinct variable names is the independent
+    one; there is one equation per dependent variable, polynomial in all
+    variables.
     """
     doc = _load(document)
-    variables = doc.get("variables")
-    if not isinstance(variables, list) or len(variables) < 2:
-        raise ParseError("need the independent variable plus at least one "
-                         "dependent variable", "variables")
-    n = len(variables) - 1
-    if n > 3:
-        raise ParseError(f"at most 3 dependent variables, got {n}", "variables")
+    n = len(_variables(doc, 2, 4)) - 1
     linear, series = _split_terms(doc, n, n + 1, order, "dependent variable")
     return BBSystem(SmallMatrix([row[1:] for row in linear]),
                     [row[0] for row in linear], series)
@@ -297,11 +302,13 @@ def _render_text(doc):
                 lines.append(f"  x^{k}: " + ", ".join(row))
         return "\n".join(lines)
     spec = doc.get("spectrum") or {}
-    eig = ", ".join(f"{e['value']} (x{e['multiplicity']})"
-                    for e in spec.get("eigenvalues", []))
+    # the numeric fallback's spectrum has no multiplicities or normal form
+    eig = ", ".join(f"{e['value']} (x{e['multiplicity']})" if "multiplicity" in e
+                    else e["value"] for e in spec.get("eigenvalues", []))
     lines.append(f"spectrum: {eig}")
-    lines.append(f"normal form: {spec.get('normal_form')}; "
-                 f"diagonalizable: {spec.get('diagonalizable')}")
+    if "normal_form" in spec:
+        lines.append(f"normal form: {spec['normal_form']}; "
+                     f"diagonalizable: {spec['diagonalizable']}")
     if doc.get("pattern"):
         lines.append(f"pattern: {doc['pattern']}")
     if doc.get("note"):

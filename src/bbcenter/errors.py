@@ -24,6 +24,7 @@ class OrderTooSmall(BBCenterError, ValueError):
     def __init__(self, order, resonance, required):
         super().__init__(f"order {order} cannot expose the resonance at order "
                          f"{resonance}; need --order {required} or more")
+        self.order = order
         self.resonance = resonance
         self.required = required
 

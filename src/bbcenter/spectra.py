@@ -324,7 +324,9 @@ def classify_spectrum(matrix):
 
 
 def numeric_spectrum(matrix):
-    """Double-precision fallback spectrum, flagged as uncertified.
+    """Double-precision fallback spectrum, flagged as uncertified: the
+    spectrum block of the fallback report, each value as its ``.15g``
+    string.
 
     Used only for reporting when exact certification fails; no classification
     decision is ever based on these values.
@@ -333,13 +335,10 @@ def numeric_spectrum(matrix):
 
     values = np.linalg.eigvals(np.array(matrix.to_complex_array(), dtype=complex))
     values = sorted(values, key=lambda z: (abs(z.imag), z.real))
-    entries = []
-    for z in values:
-        entries.append({
-            "value": complex(z),
-            "purely_imaginary": bool(abs(z.real) <= NUMERIC_TOL
-                                     and abs(z.imag) > NUMERIC_TOL),
-        })
+    entries = [{"value": f"{complex(z):.15g}",
+                "purely_imaginary": bool(abs(z.real) <= NUMERIC_TOL
+                                         and abs(z.imag) > NUMERIC_TOL)}
+               for z in values]
     return {"eigenvalues": entries, "certified": False, "tolerance": NUMERIC_TOL}
 
 

@@ -201,6 +201,22 @@ def test_cli_numeric_fallback(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["certified"] is False
     assert out["spectrum"]["certified"] is False
+    assert_printed_eigvals(out["spectrum"], [[0, 1], [2, 0]])
+    assert cli.main(["classify", path, "--numeric-fallback", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "spectrum: " + ", ".join(e["value"] for e in out["spectrum"]["eigenvalues"]),
+        out["note"]]
+
+
+def assert_printed_eigvals(spectrum, matrix):
+    """The printed values are numpy's eigenvalues of ``matrix`` as ``.15g``
+    strings, ordered by |imaginary part| and then real part."""
+    import numpy as np
+
+    values = sorted(np.linalg.eigvals(np.array(matrix, dtype=complex)),
+                    key=lambda z: (abs(z.imag), z.real))
+    assert [e["value"] for e in spectrum["eigenvalues"]] == [
+        f"{z:.15g}" for z in values]
 
 
 @pytest.mark.parametrize("den, imaginary", [(200_000_000, False),
@@ -220,6 +236,7 @@ def test_numeric_fallback_reads_a_real_part_to_1e_9(tmp_path, capsys, den,
     spectrum = json.loads(capsys.readouterr().out)["spectrum"]
     assert spectrum["certified"] is False
     assert [e["purely_imaginary"] for e in spectrum["eigenvalues"]] == [imaginary] * 2
+    assert_printed_eigvals(spectrum, [[1 / den, 1], [-2, 1 / den]])
 
 
 def test_cli_verify_passes(tmp_path, capsys):
@@ -360,6 +377,59 @@ def test_cli_malformed_document_exit_two(tmp_path, capsys, command, text, messag
     assert cli.main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_cli_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    # json's reader recurses once per bracket; the next file is still read
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    good = write_doc(tmp_path, toggle_doc(0), "good.json")
+    assert cli.main(["classify", str(deep), good]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {deep}: nested too deeply for the JSON "
+                            "reader (at document)\n")
+    assert json.loads(captured.out)["pattern"] == "two-imaginary-distinct"
+
+
+@pytest.mark.parametrize("command, variables", [
+    ("series", ["x", "y", "y"]),
+    ("bb", ["x", "y", "y"]),
+    ("bb", [1, 2]),
+])
+def test_cli_variables_are_distinct_names(tmp_path, capsys, command, variables):
+    # x' = ix, y' = -y + x^2, z' = -2z + x^3: the x chart has two graphs, so
+    # a repeated name would drop one of them from the report
+    path = write_doc(tmp_path, {"variables": variables, "equations": [
+        [mono(i_times(), (1, 0, 0))],
+        [mono(-1, (0, 1, 0)), mono(1, (2, 0, 0))],
+        [mono(-2, (0, 0, 1)), mono(1, (3, 0, 0))],
+    ][:len(variables) - (command == "bb")]})
+    assert cli.main([command, path, "--order", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.endswith("(at variables)\n") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ratio, message", [
+    (62, "need --order 64 or more"),
+    (63, "no --order up to 64 reaches it"),
+    (100, "no --order up to 64 reaches it"),
+])
+@pytest.mark.parametrize("command", ["classify", "series"])
+def test_cli_order_past_the_cap_names_the_cap(tmp_path, capsys, command,
+                                              ratio, message):
+    # x' = ix, y' = ratio iy + x^2: the x chart resonates at graph order
+    # ratio and needs order ratio + 2, which --order reaches up to 64
+    path = write_doc(tmp_path, {"variables": ["x", "y"], "equations": [
+        [mono(i_times(), (1, 0))],
+        [mono(i_times(ratio), (0, 1)), mono(1, (2, 0))],
+    ]})
+    assert cli.main([command, path, "--order", "63"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: order 63 cannot expose the "
+                          f"resonance at order {ratio}")
+    assert message in err and err.count("\n") == 1
 
 
 def test_cli_undecodable_file_exit_two(tmp_path, capsys):
